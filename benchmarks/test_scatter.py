@@ -22,15 +22,18 @@ index table; BFHM bucket pairs share row keys) — the aggregate ≥2×
 target is carried by the scan/multi-get fan-out, mirroring how real
 HBase deployments see scatter wins mostly on multi-region reads.
 
-Run through ``make bench-scatter`` the results are written to a candidate
-JSON (via ``BENCH_SCATTER_OUT``) and diffed against the committed
-``BENCH_scatter.json`` baseline, warning — not failing — on regression.
+The report is simulated-only, hence a pure function of seed and store
+state: the suite fails on *any* difference from the committed
+``BENCH_scatter.json``.  Run through ``make bench-scatter`` the report is
+also written to a candidate JSON (via ``BENCH_SCATTER_OUT``) so
+``tools/bench_diff.py`` can show what moved.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +52,8 @@ QUERY_KS = (10, 50)
 
 #: required aggregate simulated-time speedup across all workloads
 MIN_AGGREGATE_SPEEDUP = 2.0
+
+BASELINE_PATH = Path(__file__).parent.parent / "BENCH_scatter.json"
 
 
 def _setup(num_servers: int) -> ExperimentSetup:
@@ -149,6 +154,29 @@ def results():
     }
 
 
+def _report(results) -> dict:
+    """The ``BENCH_scatter.json`` document for one run of the suite."""
+    return {
+        "meta": {
+            "scale": SCALE,
+            "seed": SEED,
+            "servers": SERVERS,
+            "unit": "simulated seconds (the fig7/8 clock)",
+            "speedup": round(results["aggregate_speedup"], 3),
+        },
+        "workloads": {
+            name: {
+                "seconds": round(cell["scatter"]["seconds"], 6),
+                "serial_seconds": round(cell["serial"]["seconds"], 6),
+                "speedup": round(cell["speedup"], 3),
+                "kv_reads": int(cell["scatter"]["kv_reads"]),
+                "network_bytes": int(cell["scatter"]["network_bytes"]),
+            }
+            for name, cell in results["workloads"].items()
+        },
+    }
+
+
 class TestScatterBench:
     def test_results_identical_across_topologies(self, results):
         """Fan-out must not change what any workload returns."""
@@ -181,30 +209,18 @@ class TestScatterBench:
         assert f"topology: {SERVERS} region servers" in rendered
         assert "fanout" in rendered
 
+    def test_report_matches_committed_baseline(self, results):
+        """Simulated numbers are deterministic, so any drift from the
+        committed baseline is a bug (or an intentional metering change
+        that must re-commit ``BENCH_scatter.json``)."""
+        with open(BASELINE_PATH) as fh:
+            assert _report(results) == json.load(fh)
+
     def test_report_written(self, results):
         """Write the JSON report when BENCH_SCATTER_OUT names a path."""
         out_path = os.environ.get("BENCH_SCATTER_OUT")
         if not out_path:
             pytest.skip("BENCH_SCATTER_OUT not set; not writing a report")
-        report = {
-            "meta": {
-                "scale": SCALE,
-                "seed": SEED,
-                "servers": SERVERS,
-                "unit": "simulated seconds (the fig7/8 clock)",
-                "speedup": round(results["aggregate_speedup"], 3),
-            },
-            "workloads": {
-                name: {
-                    "seconds": round(cell["scatter"]["seconds"], 6),
-                    "serial_seconds": round(cell["serial"]["seconds"], 6),
-                    "speedup": round(cell["speedup"], 3),
-                    "kv_reads": int(cell["scatter"]["kv_reads"]),
-                    "network_bytes": int(cell["scatter"]["network_bytes"]),
-                }
-                for name, cell in results["workloads"].items()
-            },
-        }
         with open(out_path, "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
+            json.dump(_report(results), fh, indent=1, sort_keys=True)
             fh.write("\n")

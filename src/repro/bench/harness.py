@@ -58,24 +58,19 @@ def build_setup(
     prebuild_query: "RankJoinQuery | None" = None,
     num_servers: int = 1,
     balancer=None,
-    parallelism: str = "thread",
-    process_workers: "int | None" = None,
     **algorithm_kwargs,
 ) -> ExperimentSetup:
     """Create a platform, load TPC-H data, optionally pre-build indices.
 
     ``num_servers`` > 1 stands the platform up on a multi-region-server
     topology (scatter/gather fan-out; see :mod:`repro.cluster.topology`);
-    ``balancer``, ``parallelism``, and ``process_workers`` pass straight
-    through to :class:`~repro.platform.Platform` (process-pool wall-clock
-    backend; simulated metrics are identical under every setting).
+    ``balancer`` passes straight through to
+    :class:`~repro.platform.Platform`.
     """
     platform = Platform(
         cost_model,
         num_servers=num_servers,
         balancer=balancer,
-        parallelism=parallelism,
-        process_workers=process_workers,
     )
     data = generate(micro_scale=micro_scale, seed=seed)
     load_tpch(platform.store, data)

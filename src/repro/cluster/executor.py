@@ -1,18 +1,20 @@
-"""Scatter/gather execution over a shared region-server thread pool.
+"""Scatter/gather execution over the simulated region servers.
 
 This is the execution half of the multi-server topology: callers split a
 batched store operation into one :class:`ScatterTask` per region server
 and hand the batch to :func:`scatter_gather`, which
 
-1. runs every task **concurrently on real threads** (one process-wide
-   :class:`ScatterPool`, shared by all platforms, created lazily);
+1. runs every task **inline, in task order, on the caller's thread** —
+   fan-out exists on the simulated clock only (the program is pure Python
+   under one GIL; ``docs/ARCHITECTURE.md`` "Execution model" records the
+   measurements behind that);
 2. captures each task's simulated charges on a private per-task
    :class:`~repro.cluster.metrics.MetricsCollector` via the serving
    layer's :class:`~repro.serving.metrics.ThreadLocalMetricsRouter`;
-3. gathers results **in task order** (never completion order) and folds
-   the captured charges back into the caller's collector: byte / KV-read
-   counters are absorbed unchanged (the work happened, wherever it ran),
-   while simulated time is re-priced as one *parallel round* —
+3. folds the captured charges back into the caller's collector in task
+   order: byte / KV-read counters are absorbed unchanged (the work
+   happened, wherever it ran), while simulated time is re-priced as one
+   *parallel round* —
 
        round = max over servers of (sum of that server's task times)
                + fanout_dispatch_s x (servers - 1)
@@ -23,91 +25,23 @@ and hand the batch to :func:`scatter_gather`, which
 
 Determinism: charges are captured per task and combined in task order, so
 the resulting simulated metrics are a pure function of the store state and
-the task list — independent of thread scheduling, pool size, and
-completion order.  ``tests/cluster/test_executor.py`` pins this.
+the task list.  ``tests/cluster/test_executor.py`` pins this.
 
-Fallbacks run the tasks inline, serially, on the caller's thread (charges
-flow through untouched, exactly the seed behaviour): single-server
-topologies, batches whose tasks all land on one server, and *nested*
-scatters — a task that itself calls :func:`scatter_gather` (detected with
-a thread-local flag) must not block waiting on the same bounded pool that
-is running it, the classic shared-pool deadlock.
+Fallbacks run the tasks with charges flowing through untouched (exactly
+the seed behaviour, no round priced): single-server topologies, batches
+whose tasks all land on one server, and *nested* scatters — a task that
+itself calls :func:`scatter_gather` (detected with a thread-local flag)
+is already inside a priced round, so its inner batch is priced flat.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.cluster.metrics import MetricsCollector
-from repro.common.registry import FnRef
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.simulation import SimContext
-
-#: capacity of the process-wide pool.  Sized for fan-out breadth (the
-#: paper's clusters run 2-8 region servers), not CPU parallelism — tasks
-#: are short and the simulated clock, not wall-clock, carries the model.
-SCATTER_POOL_WORKERS = 8
-
-
-class ScatterPool:
-    """Process-wide lazily-created thread pool for scatter rounds.
-
-    One pool serves every platform in the process: scatter rounds are
-    synchronous (submit then gather), so rounds from different serving
-    threads interleave safely, and a bounded worker count keeps thread
-    explosion impossible.  Nested rounds never reach the pool (see
-    :func:`scatter_gather`), so a full pool cannot deadlock on itself.
-    """
-
-    def __init__(self, max_workers: int = SCATTER_POOL_WORKERS) -> None:
-        self.max_workers = max_workers
-        self._lock = threading.Lock()
-        self._executor: "ThreadPoolExecutor | None" = None
-        self._pid: "int | None" = None
-
-    def executor(self) -> ThreadPoolExecutor:
-        """The pool, created on first use and re-created after a fork.
-
-        A ``fork()``ed child inherits this object but *not* the pool's
-        worker threads (only the forking thread survives in the child), so
-        submitting to an inherited executor would hang forever.  The
-        creating PID is remembered and a stale executor is dropped —
-        without joining threads that don't exist here — and rebuilt
-        lazily, per process.
-        """
-        with self._lock:
-            if self._executor is not None and self._pid != os.getpid():
-                self._executor = None
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="scatter",
-                )
-                self._pid = os.getpid()
-            return self._executor
-
-    def shutdown(self) -> None:
-        """Tear the pool down (tests); the next round recreates it."""
-        with self._lock:
-            executor = self._executor
-            created_here = self._pid == os.getpid()
-            self._executor = None
-            self._pid = None
-        if executor is not None and created_here:
-            executor.shutdown(wait=True)
-
-
-_SHARED_POOL = ScatterPool()
-
-
-def shared_pool() -> ScatterPool:
-    """The process-wide pool shared by every scatter/gather caller."""
-    return _SHARED_POOL
 
 
 @dataclass(frozen=True)
@@ -115,22 +49,11 @@ class ScatterTask:
     """One server's share of a scatter round.
 
     ``run`` executes that server's slice of the batched operation and
-    charges its work through the ambient context metrics; it must only
-    touch thread-safe state (lock-free store reads, routed metrics).
-
-    ``proc`` optionally names the same work as a registered, picklable
-    task (:class:`~repro.common.registry.FnRef`).  When every task of a
-    round carries one and the context runs ``parallelism="process"``, the
-    round executes on the spawn-based process pool instead of threads —
-    same results, same fold discipline, same simulated charges (workers
-    ship :class:`~repro.cluster.metrics.MetricsSnapshot` deltas back).
-    Store-touching tasks cannot offer a ``proc`` form: a worker process
-    has no live store to read.
+    charges its work through the ambient context metrics.
     """
 
     server_id: int
     run: Callable[[], Any]
-    proc: "FnRef | None" = None
 
 
 _scatter_state = threading.local()
@@ -151,9 +74,9 @@ def scatter_gather(
     Charges the caller one per-server-queue round (module docstring) and
     bumps ``fanout_rounds`` / ``fanout_tasks`` / ``fanout_overlap_saved_s``
     (plus ``fanout_rounds_<label>``) on the caller's collector.  Falls
-    back to inline serial execution — charges untouched — when the
-    topology is single-server, all tasks share a server, or the caller is
-    itself a scatter task.
+    back to unpriced execution — charges untouched — when the topology is
+    single-server, all tasks share a server, or the caller is itself a
+    scatter task.
     """
     if not tasks:
         return []
@@ -165,43 +88,21 @@ def scatter_gather(
     from repro.serving.metrics import install_router
 
     router = install_router(ctx)
+    collectors = []
+    results = []
+    _scatter_state.active = True
+    try:
+        for task in tasks:
+            with router.scoped() as collector:
+                collectors.append(collector)
+                results.append(task.run())
+    finally:
+        _scatter_state.active = False
 
-    if ctx.parallelism == "process" and all(
-        task.proc is not None for task in tasks
-    ):
-        # every task named a registered picklable form: run the round in
-        # worker processes; each ships back (result, charge snapshot)
-        from repro.cluster.procpool import shared_process_pool
-
-        outcomes = shared_process_pool().run([task.proc for task in tasks])
-        results = [result for result, _ in outcomes]
-        snapshots = [snapshot for _, snapshot in outcomes]
-    else:
-        rate = router.base.dollars_per_kv_read
-        collectors = [
-            MetricsCollector(dollars_per_kv_read=rate) for _ in tasks
-        ]
-
-        def _execute(task: ScatterTask, collector: MetricsCollector) -> Any:
-            _scatter_state.active = True
-            try:
-                with router.scoped(collector):
-                    return task.run()
-            finally:
-                _scatter_state.active = False
-
-        executor = shared_pool().executor()
-        futures = [
-            executor.submit(_execute, task, collector)
-            for task, collector in zip(tasks, collectors)
-        ]
-        results = [future.result() for future in futures]
-        snapshots = [collector.snapshot() for collector in collectors]
-
-    # fold captured charges back in *task order* — combination must not
-    # depend on which thread/process finished first, nor on the backend
+    # fold captured charges back in task order
     per_server: "dict[int, float]" = {}
-    for task, captured in zip(tasks, snapshots):
+    for task, collector in zip(tasks, collectors):
+        captured = collector.snapshot()
         router.active.absorb_counts(captured)
         per_server[task.server_id] = (
             per_server.get(task.server_id, 0.0) + captured.sim_time_s

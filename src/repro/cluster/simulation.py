@@ -74,20 +74,9 @@ class SimContext:
     num_servers: int = 1
     #: worker->server assignment strategy (default: round-robin striping)
     balancer: "RegionBalancer | None" = None
-    #: wall-clock execution backend for fan-out sections: "thread" (the
-    #: default shared ScatterPool — overlaps simulated latency only) or
-    #: "process" (spawn-based ProcessScatterPool — real CPU parallelism
-    #: for registered, picklable tasks; see repro.cluster.procpool).
-    #: Simulated metrics are identical under either setting by design.
-    parallelism: str = "thread"
     _timestamp: int = 0
 
     def __post_init__(self) -> None:
-        if self.parallelism not in ("thread", "process"):
-            raise ValueError(
-                f"parallelism must be 'thread' or 'process', "
-                f"got {self.parallelism!r}"
-            )
         if self.cluster is None:
             self.cluster = SimCluster(self.cost_model)
         self.topology = ClusterTopology(
@@ -103,13 +92,11 @@ class SimContext:
         cost_model: CostModel,
         num_servers: int = 1,
         balancer: "RegionBalancer | None" = None,
-        parallelism: str = "thread",
     ) -> "SimContext":
         return cls(
             cost_model=cost_model,
             num_servers=num_servers,
             balancer=balancer,
-            parallelism=parallelism,
         )
 
     def next_timestamp(self) -> int:

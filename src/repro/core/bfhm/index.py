@@ -14,6 +14,8 @@ of 5%" — a cheap counting pre-pass finds the heaviest bucket, then
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.common.serialization import (
     decode_float,
     decode_str,
@@ -37,7 +39,6 @@ from repro.core.bfhm.bucket import (
     encode_reverse_value,
     reverse_row_key,
 )
-from repro.common.registry import fn_ref, proc_fn
 from repro.core.indexes import BFHM_TABLE, ensure_index_table
 from repro.errors import IndexNotBuiltError
 from repro.mapreduce.job import Job, TableInput, TableOutput, TaskContext
@@ -53,10 +54,9 @@ DEFAULT_FP_RATE = 0.05
 DEFAULT_NUM_BUCKETS = 100
 
 
-# -- build task functions (registered: the build job is process-capable) -----
+# -- build task functions ----------------------------------------------------
 
 
-@proc_fn("bfhm.build_map")
 def _build_map(payload: dict, row_key: str, row, task: TaskContext) -> None:
     """Bucket one base-relation row by score (Algorithm 5 map side)."""
     join_raw = row.value(payload["family"], payload["join_column"])
@@ -69,7 +69,6 @@ def _build_map(payload: dict, row_key: str, row, task: TaskContext) -> None:
     task.emit(bucket, [row_key, decode_str(join_raw), score])
 
 
-@proc_fn("bfhm.build_reduce")
 def _build_reduce(payload: dict, bucket: int, values: list, task: TaskContext) -> None:
     """Build one bucket: filter, reverse-mapping rows, compressed blob."""
     signature = payload["signature"]
@@ -158,8 +157,8 @@ class BFHMIndexBuilder:
         job = Job(
             name=f"bfhm-index-{signature}",
             input_source=TableInput.of(binding.table, {binding.family}),
-            map_fn=fn_ref(
-                "bfhm.build_map",
+            map_fn=partial(
+                _build_map,
                 {
                     "family": binding.family,
                     "join_column": binding.join_column,
@@ -167,8 +166,8 @@ class BFHMIndexBuilder:
                     "num_buckets": num_buckets,
                 },
             ),
-            reduce_fn=fn_ref(
-                "bfhm.build_reduce",
+            reduce_fn=partial(
+                _build_reduce,
                 {"signature": signature, "m_bits": m_bits},
             ),
             num_reducers=max(1, len(platform.ctx.cluster.workers)),

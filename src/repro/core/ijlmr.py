@@ -16,7 +16,8 @@ stays near Hive's (§4.1.2).
 
 from __future__ import annotations
 
-from repro.common.registry import fn_ref, proc_fn
+from functools import partial
+
 from repro.common.serialization import decode_float, decode_str
 from repro.common.types import JoinTuple
 from repro.core.base import IndexBuildReport, RankJoinAlgorithm, _ExecutionDetails
@@ -33,7 +34,6 @@ from repro.store.cell import RowResult
 from repro.store.client import Put
 
 
-@proc_fn("ijlmr.build_map")
 def _build_map(payload: dict, row_key: str, row: RowResult, task: TaskContext) -> None:
     """Invert one base-relation row on its join value (Algorithm 1 mapper)."""
     join_raw = row.value(payload["family"], payload["join_column"])
@@ -69,14 +69,11 @@ class IJLMRRankJoin(RankJoinAlgorithm):
         splits = sample_split_keys(sample, len(platform.ctx.cluster.workers))
         ensure_index_table(platform, IJLMR_TABLE, signature, splits)
 
-        # the query job (Algorithm 2) stays closure-based — its scoring
-        # function isn't picklable — but the build mapper is registered,
-        # so index construction is process-capable
         job = Job(
             name=f"ijlmr-index-{signature}",
             input_source=TableInput.of(binding.table, {binding.family}),
-            map_fn=fn_ref(
-                "ijlmr.build_map",
+            map_fn=partial(
+                _build_map,
                 {
                     "family": binding.family,
                     "join_column": binding.join_column,

@@ -14,6 +14,7 @@ amortize RPC latency but may overshoot the termination point.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator
 
 from repro.common.serialization import (
@@ -31,7 +32,6 @@ from repro.core.indexes import (
     family_built,
     sample_split_keys,
 )
-from repro.common.registry import fn_ref, proc_fn
 from repro.mapreduce.job import Job, TableInput, TableOutput, TaskContext
 from repro.platform import Platform
 from repro.query.spec import RankJoinQuery
@@ -45,7 +45,6 @@ DEFAULT_BATCH_FRACTION = 0.01
 MIN_BATCH_ROWS = 8
 
 
-@proc_fn("isl.build_map")
 def _build_map(payload: dict, row_key: str, row: RowResult, task: TaskContext) -> None:
     """Invert one base-relation row on its score (Algorithm 3 mapper)."""
     join_raw = row.value(payload["family"], payload["join_column"])
@@ -159,8 +158,8 @@ class ISLRankJoin(RankJoinAlgorithm):
         job = Job(
             name=f"isl-index-{signature}",
             input_source=TableInput.of(binding.table, {binding.family}),
-            map_fn=fn_ref(
-                "isl.build_map",
+            map_fn=partial(
+                _build_map,
                 {
                     "family": binding.family,
                     "join_column": binding.join_column,

@@ -11,16 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.common.registry import FnRef
 from repro.common.serialization import sizeof
 from repro.errors import JobConfigurationError
 from repro.sketches.hashing import hash_to_range
 
-#: task functions are plain callables (closures welcome — serial/thread
-#: execution only) or FnRefs to registered functions, which additionally
-#: makes the phase eligible for the process-pool backend
-MapFn = "Callable[[Any, Any, TaskContext], None] | FnRef"
-ReduceFn = "Callable[[Any, list, TaskContext], None] | FnRef"
+MapFn = Callable[[Any, Any, "TaskContext"], None]
+ReduceFn = Callable[[Any, list, "TaskContext"], None]
 PartitionFn = Callable[[Any, int], int]
 
 
@@ -155,7 +151,7 @@ class Job:
         default_factory=CollectOutput
     )
     #: called once per map task after its records are exhausted
-    map_finish_fn: "Callable[[TaskContext], None] | FnRef | None" = None
+    map_finish_fn: "Callable[[TaskContext], None] | None" = None
 
     def __post_init__(self) -> None:
         if self.num_reducers <= 0:
@@ -170,18 +166,3 @@ class Job:
     @property
     def map_only(self) -> bool:
         return self.reduce_fn is None
-
-    @property
-    def process_safe_map(self) -> bool:
-        """Whether the whole map side (map + finish + combiner) is named
-        by registered refs and can therefore ship to worker processes."""
-        return (
-            isinstance(self.map_fn, FnRef)
-            and (self.map_finish_fn is None or isinstance(self.map_finish_fn, FnRef))
-            and (self.combiner_fn is None or isinstance(self.combiner_fn, FnRef))
-        )
-
-    @property
-    def process_safe_reduce(self) -> bool:
-        """Whether the reduce side can ship to worker processes."""
-        return isinstance(self.reduce_fn, FnRef)

@@ -8,13 +8,6 @@ Execution follows Hadoop's phases:
    (data locality).  Task time = local disk scan + per-record CPU; node
    time = its tasks serialized over its task slots; wave time = the slowest
    node.  Table splits charge KV read units per cell scanned.
-
-   On ``parallelism="process"`` contexts, jobs whose task functions are
-   registered refs (:class:`~repro.common.registry.FnRef`) run their map
-   **and** reduce waves in real worker processes: split rows ship as
-   :mod:`repro.cluster.wire` blocks, outcomes and per-task metric
-   snapshots fold back in task order, so the simulated accounting below
-   is byte-for-byte the serial accounting — only wall-clock changes.
 3. **Combine** — per-task, reduces shuffle volume.
 4. **Shuffle** — intermediate pairs are partitioned; bytes moving between
    different nodes are network traffic.
@@ -23,6 +16,10 @@ Execution follows Hadoop's phases:
    report in §7.2.
 6. **Output** — HDFS files charge replication traffic, table outputs charge
    the write path, collected outputs ship to the master.
+
+Map and reduce tasks execute inline, one after another in split /
+partition order, on the caller's thread; the waves are parallel on the
+simulated clock only (:meth:`JobRunner._wave_time`).
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.common.registry import FnRef, fn_ref, proc_fn, resolve
 from repro.common.serialization import sizeof
 from repro.errors import JobConfigurationError
 from repro.mapreduce.hdfs import SimHDFS
@@ -60,23 +56,16 @@ class _Split:
     kv_cells: int  # store cells scanned (0 for HDFS splits)
 
 
-# -- task execution (shared by the serial, thread, and process paths) --------
-
-
-def _as_callable(fn: "Callable | FnRef | None") -> "Callable | None":
-    """A job task function as a plain callable (resolving refs)."""
-    if fn is None or not isinstance(fn, FnRef):
-        return fn
-    return resolve(fn)
+# -- task execution ----------------------------------------------------------
 
 
 @dataclass
 class _MapOutcome:
-    """One map task's result, identical across execution backends.
+    """One map task's result.
 
     ``map_emitted`` counts the mapper's *pre-combine* output (it prices
     the task's CPU); ``pairs`` is the post-combine output that enters the
-    shuffle.  Picklable, so worker processes return it as-is.
+    shuffle.
     """
 
     counters: dict[str, float]
@@ -86,7 +75,7 @@ class _MapOutcome:
 
 @dataclass
 class _ReduceOutcome:
-    """One reduce task's result, identical across execution backends."""
+    """One reduce task's result."""
 
     counters: dict[str, float]
     emitted: list[tuple[Any, Any]]
@@ -136,61 +125,6 @@ def _execute_reduce_partition(
     for key, values in grouped:
         reduce_fn(key, values, task)
     return _ReduceOutcome(task.counters, task.emitted, grouped_bytes)
-
-
-# -- process-boundary forms of the two wave tasks ----------------------------
-
-
-def _input_kind(source: "TableInput | HDFSInput | UnionTableInput") -> str:
-    """How a source's records ship to worker processes: plain table rows
-    and source-tagged rows travel as wire blocks, HDFS records (already
-    plain picklable values) travel as-is."""
-    if isinstance(source, TableInput):
-        return "rows"
-    if isinstance(source, UnionTableInput):
-        return "tagged"
-    return "plain"
-
-
-def _encode_split_records(kind: str, records: "list[tuple[Any, Any]]") -> Any:
-    if kind == "plain":
-        return records
-    from repro.cluster.wire import encode_rows
-
-    if kind == "rows":
-        return encode_rows([row for _, row in records])
-    return encode_rows(
-        [value[1] for _, value in records], [value[0] for _, value in records]
-    )
-
-
-def _decode_split_records(kind: str, shipped: Any) -> "list[tuple[Any, Any]]":
-    if kind == "plain":
-        return shipped
-    from repro.cluster.wire import decode_rows
-
-    if kind == "rows":
-        return [(row.row, row) for _, row in decode_rows(shipped)]
-    return [(row.row, (tag, row)) for tag, row in decode_rows(shipped)]
-
-
-@proc_fn("mr.map_split")
-def _map_split_proc(payload: "dict[str, Any]") -> _MapOutcome:
-    """Worker-process entry for one map split."""
-    return _execute_map_split(
-        _as_callable(payload["map"]),
-        _as_callable(payload["finish"]),
-        _as_callable(payload["combine"]),
-        _decode_split_records(payload["kind"], payload["records"]),
-    )
-
-
-@proc_fn("mr.reduce_partition")
-def _reduce_partition_proc(payload: "dict[str, Any]") -> _ReduceOutcome:
-    """Worker-process entry for one reduce partition."""
-    return _execute_reduce_partition(
-        _as_callable(payload["reduce"]), payload["pairs"]
-    )
 
 
 @dataclass
@@ -259,125 +193,6 @@ class JobRunner:
 
     # -- phase helpers -----------------------------------------------------------
 
-    def _run_map_wave(
-        self, job: Job, live_splits: "list[_Split]", run_map_task
-    ) -> "list[_MapOutcome]":
-        """Execute the map tasks, returning outcomes in split order.
-
-        Backends (picked per job, all producing identical outcomes):
-
-        * **process** — on ``parallelism="process"`` contexts, jobs whose
-          whole map side is registered refs ship each split to a spawn
-          worker: records travel by wire block (or plain pickling for
-          HDFS records), the worker runs :func:`_execute_map_split` and
-          returns the outcome plus its charge snapshot.  Real CPU
-          parallelism — Python compute in map functions overlaps.
-        * **thread** — on a multi-server topology the map tasks of
-          different splits run concurrently on the shared scatter thread
-          pool (overlapping simulated latency; the GIL still serializes
-          compute).  Map/combine functions must be thread-safe; all
-          in-repo jobs are pure functions of their input records.
-        * **serial** — everything else runs inline.
-
-        Results and *all* cost accounting stay in split order, so the
-        simulated metrics are identical to serial execution (the wave's
-        simulated makespan was always the parallel :meth:`_wave_time`
-        model).  Any simulated charges a task does make are captured per
-        task — scoped collectors on threads, worker-local collectors in
-        processes — and folded back in split order, keeping them
-        deterministic across backends and pool sizes.
-        """
-        if (
-            self.ctx.parallelism == "process"
-            and job.process_safe_map
-            and len(live_splits) > 1
-        ):
-            from repro.cluster.procpool import shared_process_pool
-
-            kind = _input_kind(job.input_source)
-            refs = [
-                fn_ref(
-                    "mr.map_split",
-                    {
-                        "map": job.map_fn,
-                        "finish": job.map_finish_fn,
-                        "combine": job.combiner_fn,
-                        "kind": kind,
-                        "records": _encode_split_records(kind, split.records),
-                    },
-                )
-                for split in live_splits
-            ]
-            outcomes = []
-            for outcome, snap in shared_process_pool().run(refs):
-                self.ctx.metrics.absorb_counts(snap)
-                self.ctx.metrics.advance_time(snap.sim_time_s)
-                outcomes.append(outcome)
-            return outcomes
-        if len(live_splits) > 1 and self.ctx.topology.parallel:
-            from repro.cluster.executor import in_scatter, shared_pool
-
-            if not in_scatter():
-                from repro.serving.metrics import install_router
-
-                router = install_router(self.ctx)
-
-                def isolated(split: _Split):
-                    with router.scoped() as collector:
-                        outcome = run_map_task(split)
-                    return outcome, collector.snapshot()
-
-                pool = shared_pool().executor()
-                captured = list(pool.map(isolated, live_splits))
-                outcomes = []
-                for outcome, snap in captured:
-                    router.active.absorb_counts(snap)
-                    self.ctx.metrics.advance_time(snap.sim_time_s)
-                    outcomes.append(outcome)
-                return outcomes
-        return [run_map_task(split) for split in live_splits]
-
-    def _run_reduce_wave(
-        self,
-        job: Job,
-        reduce_jobs: "list[tuple[int, Node, list[tuple[Any, Any]]]]",
-    ) -> "list[_ReduceOutcome]":
-        """Execute the reduce tasks, returning outcomes in partition order.
-
-        On ``parallelism="process"`` contexts, jobs whose reducer is a
-        registered ref run each live partition in a spawn worker (the
-        BFHM build's Golomb blob encoding is the hot path this buys back);
-        everything else reduces inline — a thread wave would buy nothing,
-        the GIL serializes pure-Python reduce compute anyway.  Outcomes
-        and charge snapshots fold in partition order; all wave pricing
-        stays with the caller, so the backends are metric-identical.
-        """
-        if (
-            self.ctx.parallelism == "process"
-            and job.process_safe_reduce
-            and len(reduce_jobs) > 1
-        ):
-            from repro.cluster.procpool import shared_process_pool
-
-            refs = [
-                fn_ref(
-                    "mr.reduce_partition",
-                    {"reduce": job.reduce_fn, "pairs": pairs},
-                )
-                for _, _, pairs in reduce_jobs
-            ]
-            outcomes = []
-            for outcome, snap in shared_process_pool().run(refs):
-                self.ctx.metrics.absorb_counts(snap)
-                self.ctx.metrics.advance_time(snap.sim_time_s)
-                outcomes.append(outcome)
-            return outcomes
-        reduce_fn = _as_callable(job.reduce_fn)
-        return [
-            _execute_reduce_partition(reduce_fn, pairs)
-            for _, _, pairs in reduce_jobs
-        ]
-
     def _wave_time(self, task_times: "dict[int, list[float]]") -> float:
         """Makespan of locality-pinned tasks over per-node slots."""
         model = self.ctx.cost_model
@@ -388,9 +203,6 @@ class JobRunner:
             )
             worst = max(worst, node_busy)
         return worst
-
-    # grouped-shuffle order (kept as a staticmethod alias for callers)
-    _group_sorted = staticmethod(_group_sorted)
 
     # -- execution -------------------------------------------------------------------
 
@@ -414,15 +226,13 @@ class JobRunner:
             )
 
         # ---- map phase ----
-        map_fn = _as_callable(job.map_fn)
-        finish_fn = _as_callable(job.map_finish_fn)
-        combiner_fn = _as_callable(job.combiner_fn)
-
-        def run_map_task(split: _Split) -> _MapOutcome:
-            return _execute_map_split(map_fn, finish_fn, combiner_fn, split.records)
-
         live_splits = [split for split in splits if split.records]
-        outcomes = self._run_map_wave(job, live_splits, run_map_task)
+        outcomes = [
+            _execute_map_split(
+                job.map_fn, job.map_finish_fn, job.combiner_fn, split.records
+            )
+            for split in live_splits
+        ]
 
         map_outputs: list[tuple["Node", list[tuple[Any, Any]]]] = []
         task_times: dict[int, list[float]] = {}
@@ -472,7 +282,10 @@ class JobRunner:
             for reducer_index, pairs in enumerate(partitions)
             if pairs
         ]
-        reduce_outcomes = self._run_reduce_wave(job, reduce_jobs)
+        reduce_outcomes = [
+            _execute_reduce_partition(job.reduce_fn, pairs)
+            for _, _, pairs in reduce_jobs
+        ]
 
         reduce_outputs: list[tuple["Node", list[tuple[Any, Any]]]] = []
         reduce_times: dict[int, list[float]] = {}

@@ -24,17 +24,10 @@ class Platform:
     batched reads, scans, and the hot algorithm paths scatter per server
     and pay max-over-server-queues simulated time instead of the serial
     sum.  The default single server preserves the seed cost model
-    bit-for-bit.
-
-    ``parallelism`` picks the *wall-clock* execution backend for fan-out
-    sections: ``"thread"`` (default) runs them on the shared thread pool,
-    ``"process"`` runs registered picklable tasks — index-build map/reduce
-    waves, process-capable scatter rounds — in spawn-based worker
-    processes (:mod:`repro.cluster.procpool`) for real CPU parallelism.
-    Simulated metrics are bit-identical under every setting; only real
-    elapsed time changes.  ``process_workers`` pins the process-wide pool
-    size (None keeps the current/default size); ``balancer`` overrides
-    the worker->region-server assignment strategy.
+    bit-for-bit.  ``balancer`` overrides the worker->region-server
+    assignment strategy.  Fan-out exists on the simulated clock only:
+    scatter rounds and MapReduce waves execute inline on the caller's
+    thread (:mod:`repro.cluster.executor`).
     """
 
     def __init__(
@@ -42,18 +35,11 @@ class Platform:
         cost_model: CostModel = EC2_PROFILE,
         num_servers: int = 1,
         balancer: "RegionBalancer | None" = None,
-        parallelism: str = "thread",
-        process_workers: "int | None" = None,
     ) -> None:
-        if process_workers is not None:
-            from repro.cluster.procpool import shared_process_pool
-
-            shared_process_pool().configure(process_workers)
         self.ctx = SimContext.with_profile(
             cost_model,
             num_servers=num_servers,
             balancer=balancer,
-            parallelism=parallelism,
         )
         self.store = Store(self.ctx)
         self.hdfs = SimHDFS(self.ctx)

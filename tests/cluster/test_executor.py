@@ -1,22 +1,19 @@
-"""scatter_gather: queue-model pricing, determinism, fallbacks.
+"""scatter_gather: queue-model pricing, determinism, fallbacks, failures.
 
 The contract pinned here (see the module docstring of
-``repro.cluster.executor``): results gather in task order; counters are
-absorbed unchanged; round time = max over per-server queues plus dispatch
-overhead; and the resulting metrics are a pure function of store state and
-task list — independent of pool size and thread scheduling.
+``repro.cluster.executor``): tasks run inline on the caller's thread and
+results gather in task order; counters are absorbed unchanged; round time
+= max over per-server queues plus dispatch overhead; the resulting metrics
+are a pure function of store state and task list; and a task that raises
+leaves the thread and its collector exactly as a round that never started.
 """
+
+import threading
 
 import pytest
 
 from repro.cluster.costmodel import EC2_PROFILE
-from repro.cluster.executor import (
-    ScatterPool,
-    ScatterTask,
-    in_scatter,
-    scatter_gather,
-    shared_pool,
-)
+from repro.cluster.executor import ScatterTask, in_scatter, scatter_gather
 from repro.platform import Platform
 from repro.store.client import Get, Put
 
@@ -57,8 +54,11 @@ class TestFallbacks:
         platform, _ = _loaded(num_servers=4)
         ctx = platform.ctx
 
+        caller = threading.get_ident()
+
         def inner(value):
             assert in_scatter()
+            assert threading.get_ident() == caller
             return value * 10
 
         def outer(server_id):
@@ -68,8 +68,9 @@ class TestFallbacks:
         tasks = [ScatterTask(s, lambda s=s: outer(s)) for s in range(4)]
         results = scatter_gather(ctx, tasks)
         assert results == [[0, 10, 20, 30]] * 4
-        # only the outer round fans out; inner rounds ran inline
+        # only the outer round is priced; inner rounds ran flat
         assert platform.metrics.counters["fanout_rounds"] == 1
+        assert not in_scatter()
 
 
 class TestQueueModel:
@@ -123,29 +124,6 @@ class TestQueueModel:
 
 
 class TestDeterminism:
-    def _multi_get_metrics(self, pool):
-        """One scatter multi-get's metric delta, run on ``pool``."""
-        import repro.cluster.executor as executor_module
-
-        original = executor_module._SHARED_POOL
-        executor_module._SHARED_POOL = pool
-        try:
-            platform, htable = _loaded(num_servers=4)
-            before = platform.metrics.snapshot()
-            gets = [Get(f"r{i % 8}x{i:02d}", families={"d"}) for i in range(32)]
-            rows = htable.multi_get(gets)
-            return [row.row for row in rows], platform.metrics.snapshot() - before
-        finally:
-            executor_module._SHARED_POOL = original
-            pool.shutdown()
-
-    def test_metrics_independent_of_pool_size(self):
-        baseline_rows, baseline = self._multi_get_metrics(ScatterPool())
-        for max_workers in (1, 2, 16):
-            rows, delta = self._multi_get_metrics(ScatterPool(max_workers))
-            assert rows == baseline_rows
-            assert delta == baseline, f"pool size {max_workers} changed metrics"
-
     def test_repeated_rounds_identical(self):
         platform, htable = _loaded(num_servers=4)
         gets = [Get(f"r{i % 8}x{i:02d}", families={"d"}) for i in range(32)]
@@ -162,9 +140,47 @@ class TestDeterminism:
             assert delta.kv_reads == deltas[0].kv_reads
             assert delta.counters == pytest.approx(deltas[0].counters)
 
-    def test_shared_pool_survives_shutdown(self):
-        pool = shared_pool()
-        pool.shutdown()
-        platform, htable = _loaded(num_servers=4)
-        gets = [Get(f"r{i % 8}x{i:02d}", families={"d"}) for i in range(8)]
-        assert len(htable.multi_get(gets)) == 8  # lazily recreated
+
+class TestFailurePath:
+    def test_raising_task_leaves_no_trace(self):
+        from repro.serving.metrics import install_router
+
+        platform, _ = _loaded(num_servers=4)
+        ctx = platform.ctx
+        router = install_router(ctx)
+
+        def charge(seconds):
+            ctx.metrics.advance_time(seconds)
+            ctx.metrics.add_kv_reads(3)
+
+        def boom():
+            charge(0.5)
+            raise RuntimeError("server 1 fell over")
+
+        with router.scoped() as mine:
+            before = mine.snapshot()
+            failing = [
+                ScatterTask(0, lambda: charge(0.2)),
+                ScatterTask(1, boom),
+                ScatterTask(2, lambda: charge(0.1)),
+            ]
+            with pytest.raises(RuntimeError, match="server 1 fell over"):
+                scatter_gather(ctx, failing)
+            assert not in_scatter()
+            assert router.active is mine
+            # nothing absorbed, no round charged, no counter bumped
+            assert mine.snapshot() == before
+
+            # the next round on this thread prices like a fresh one
+            tasks = [
+                ScatterTask(0, lambda: charge(0.2)),
+                ScatterTask(2, lambda: charge(0.1)),
+            ]
+            scatter_gather(ctx, tasks)
+            after_failure = mine.snapshot() - before
+
+        with router.scoped() as fresh:
+            scatter_gather(ctx, tasks)
+        assert fresh.snapshot() == after_failure
+        assert fresh.kv_reads == 6
+        assert fresh.counters["fanout_rounds"] == 1

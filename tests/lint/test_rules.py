@@ -9,11 +9,13 @@ contract on ``src/repro`` holds at every commit.
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import pytest
 
 from tools.analyze import analyze_paths
+from tools.analyze.config import GUARDED_REGISTRY
 from tools.analyze.rules import RULES
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -91,6 +93,22 @@ def test_src_tree_is_lint_clean() -> None:
     findings = analyze_paths([REPO_ROOT / "src" / "repro"])
     rendered = "\n".join(finding.render() for finding in findings)
     assert not findings, f"repro-lint findings on src/repro:\n{rendered}"
+
+
+@pytest.mark.parametrize("key", sorted(GUARDED_REGISTRY))
+def test_guarded_registry_key_names_a_live_class(key: str) -> None:
+    """The lock checker silently skips a ``path:Class`` key that matches
+    nothing, so a renamed or deleted class would drop its guard policy
+    without a finding — every key must resolve."""
+    relpath, class_name = key.split(":")
+    path = REPO_ROOT / relpath
+    assert path.is_file(), f"GUARDED_REGISTRY names a missing file: {relpath}"
+    defined = {
+        node.name
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+    assert class_name in defined, f"{relpath} defines no class {class_name}"
 
 
 def test_cli_exit_codes_and_json() -> None:

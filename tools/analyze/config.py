@@ -77,20 +77,6 @@ GUARDED_REGISTRY: "dict[str, dict[str, GuardDecl]]" = {
         "_sorted": GuardDecl("_lock", writes_only=True),
         "byte_size": GuardDecl("_lock", writes_only=True),
     },
-    # the process-wide scatter pool lazily creates / tears down its
-    # ThreadPoolExecutor under _lock (reads included: a torn-down pool
-    # must never hand out a dead executor)
-    "src/repro/cluster/executor.py:ScatterPool": {
-        "_executor": GuardDecl("_lock"),
-        "_pid": GuardDecl("_lock"),
-    },
-    # the process-pool counterpart: executor handle, pinned size, and the
-    # creating PID (the fork-safety witness) all move together under _lock
-    "src/repro/cluster/procpool.py:ProcessScatterPool": {
-        "_executor": GuardDecl("_lock"),
-        "_max_workers": GuardDecl("_lock"),
-        "_pid": GuardDecl("_lock"),
-    },
 }
 
 #: method names that structurally mutate a container attribute (used by

@@ -3,8 +3,8 @@
 Usage: python tools/bench_summary.py [DIR]
 
 Perf history lives in one baseline file per bench suite (read path,
-sketch, serving, ingest, multi-way, planner accuracy, scatter/gather,
-process-parallel builds).  This tool flattens them all into a single
+sketch, serving, ingest, multi-way, planner accuracy,
+scatter/gather).  This tool flattens them all into a single
 greppable table — one line per ``suite/workload`` with its headline
 number — plus each suite's meta headline facts, so "what did X cost at
 this commit" is one grep away:
