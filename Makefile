@@ -22,8 +22,9 @@ chaos:
 bench:
 	$(PYTHON) -m pytest benchmarks/ -q
 
-## planner-accuracy grid (fig7+fig8 hit rate + per-cell regret), diffed
-## against the committed BENCH_planner.json baseline (warn-only)
+## planner-accuracy grid (fig7+fig8 hit rate + per-cell regret); the suite
+## fails on any difference from the committed BENCH_planner.json
+## (simulated-only, so deterministic) and the diff shows what moved
 bench-planner:
 	BENCH_PLANNER_OUT=BENCH_planner.candidate.json $(PYTHON) -m pytest benchmarks/test_planner_accuracy.py -q
 	$(PYTHON) tools/bench_diff.py BENCH_planner.json BENCH_planner.candidate.json

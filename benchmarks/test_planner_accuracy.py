@@ -19,15 +19,18 @@ one ~100-row batch short — fell to the join-profile-aware results model
 the real one).  The LC Q2 k=100 repair-cascade cell still estimates
 within 15% of measured (asserted below).
 
-Run through ``make bench-planner`` the per-cell regrets are written to a
-candidate JSON (via ``BENCH_PLANNER_OUT``) and diffed warn-only against
-the committed ``BENCH_planner.json`` baseline.
+The grid runs on the simulated clock, so the per-cell report is a pure
+function of the code: the suite fails on any difference from the committed
+``BENCH_planner.json``.  ``make bench-planner`` also writes the report to
+a candidate JSON (via ``BENCH_PLANNER_OUT``) and diffs the two, which
+shows what moved.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +47,8 @@ ACCURACY_TARGET_HITS = 20
 REGRET_CEILING = 1.10
 #: |est - measured| / measured ceiling for the repair-cascade showcase cell
 CASCADE_CELL_TOLERANCE = 0.15
+
+BASELINE_PATH = Path(__file__).parent.parent / "BENCH_planner.json"
 
 _CACHE: dict = {}
 
@@ -84,6 +89,32 @@ def _score(cells):
             f"{'OK  ' if hit else 'MISS'} regret={regret:.3f}"
         )
     return hits, regrets, rows
+
+
+def _report(ec2_setup, lc_setup):
+    """Per-cell regrets plus the hit count — what ``BENCH_planner.json``
+    holds."""
+    ec2_cells = _grid(ec2_setup, EC2_ALGORITHMS, "ec2")
+    lc_cells = _grid(lc_setup, LC_ALGORITHMS, "lc")
+    cells = ec2_cells + lc_cells
+    hits, regrets, _ = _score(cells)
+    workloads = {}
+    labeled = ([("ec2", cell) for cell in ec2_cells]
+               + [("lc", cell) for cell in lc_cells])
+    for grid, (qname, k, measured, plan) in labeled:
+        fastest = min(measured, key=lambda name: measured[name].time_s)
+        regret = measured[plan.chosen].time_s / measured[fastest].time_s
+        workloads[f"{grid}_{qname}_k{k}"] = {
+            "seconds": round(regret, 6),
+            "chosen": plan.chosen,
+            "fastest": fastest,
+        }
+    workloads["mean_regret"] = {
+        "seconds": round(sum(regrets) / len(regrets), 6),
+        "hits": hits,
+        "cells": len(cells),
+    }
+    return {"workloads": workloads}
 
 
 class TestPlannerAccuracy:
@@ -164,34 +195,21 @@ class TestPlannerAccuracy:
             for note in plan.estimate("bfhm").notes
         )
 
+    def test_report_matches_committed_baseline(self, ec2_setup, lc_setup):
+        """The grid is simulated, hence deterministic: any drift from the
+        committed baseline is a bug (or an intentional cost-model change
+        that must re-commit ``BENCH_planner.json``)."""
+        with open(BASELINE_PATH) as fh:
+            assert _report(ec2_setup, lc_setup) == json.load(fh)
+
     def test_bench_planner_report_written(self, ec2_setup, lc_setup):
         """Write per-cell regrets when BENCH_PLANNER_OUT names a path
         (the `make bench-planner` flow, diffed via tools/bench_diff.py)."""
         out_path = os.environ.get("BENCH_PLANNER_OUT")
         if not out_path:
             pytest.skip("BENCH_PLANNER_OUT not set; not writing a report")
-        ec2_cells = _grid(ec2_setup, EC2_ALGORITHMS, "ec2")
-        lc_cells = _grid(lc_setup, LC_ALGORITHMS, "lc")
-        cells = ec2_cells + lc_cells
-        hits, regrets, _ = _score(cells)
-        workloads = {}
-        labeled = ([("ec2", cell) for cell in ec2_cells]
-                   + [("lc", cell) for cell in lc_cells])
-        for grid, (qname, k, measured, plan) in labeled:
-            fastest = min(measured, key=lambda name: measured[name].time_s)
-            regret = measured[plan.chosen].time_s / measured[fastest].time_s
-            workloads[f"{grid}_{qname}_k{k}"] = {
-                "seconds": round(regret, 6),
-                "chosen": plan.chosen,
-                "fastest": fastest,
-            }
-        workloads["mean_regret"] = {
-            "seconds": round(sum(regrets) / len(regrets), 6),
-            "hits": hits,
-            "cells": len(cells),
-        }
         with open(out_path, "w") as fh:
-            json.dump({"workloads": workloads}, fh, indent=1, sort_keys=True)
+            json.dump(_report(ec2_setup, lc_setup), fh, indent=1, sort_keys=True)
             fh.write("\n")
 
     def test_never_picks_a_mapreduce_baseline(self, ec2_setup, benchmark):

@@ -29,7 +29,9 @@ never touches the metered data path.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.cluster.costmodel import CostModel
 from repro.common.functions import AggregateFunction
@@ -41,6 +43,7 @@ from repro.query.statistics import (
     StatisticsCatalog,
     TableStatistics,
     expected_bucket_join,
+    partition_universe,
 )
 from repro.sketches.histogram import bucket_bounds, score_to_bucket
 
@@ -255,6 +258,28 @@ class _SideProfile:
     maxes: list[float]
     num_buckets: int
     total: float
+    #: the base relation's 2-D join profile (``None`` for the estimated
+    #: profile of a cascade intermediate, which has no statistics)
+    join_profile: "JoinProfile | None" = None
+
+    @cached_property
+    def join_vectors(self) -> "list[dict[int, tuple[float, float]] | None] | None":
+        """Per-bucket join-partition vectors on this profile's grid (see
+        :func:`_project_join_vectors`) — projected on first use, then kept
+        for as long as the profile is."""
+        return _project_join_vectors(self, self.join_profile)
+
+    @cached_property
+    def join_distincts(self) -> "list[float | None] | None":
+        """Distinct join values per bucket — what the bucket's BFHM filter
+        actually hashes (duplicate values set the same bit)."""
+        if self.join_vectors is None:
+            return None
+        return [
+            None if vector is None
+            else sum(distinct for _, distinct in vector.values())
+            for vector in self.join_vectors
+        ]
 
     @property
     def top_score(self) -> float:
@@ -312,17 +337,20 @@ def _profile(stats: TableStatistics) -> _SideProfile:
         maxes=maxes,
         num_buckets=histogram.num_buckets,
         total=float(sum(counts)),
+        join_profile=stats.join_profile,
     )
 
 
-def _bfhm_profile(stats: TableStatistics, num_buckets: int) -> _SideProfile:
+def _bfhm_profile(
+    stats: TableStatistics, num_buckets: int, histogram_profile: _SideProfile
+) -> _SideProfile:
     """Per-bucket profile the BFHM cascade replay runs against.
 
     When the BFHM index is built, the profile is read straight off its
     blob rows (actual per-bucket counts and min/max scores, in the exact
-    bucket order the coordinator fetches); otherwise the statistics
-    histogram is re-projected onto the index's bucket grid so bucket
-    numbers line up with stored blob rows.
+    bucket order the coordinator fetches); otherwise ``histogram_profile``
+    (the relation's :func:`_profile`) is re-projected onto the index's
+    bucket grid so bucket numbers line up with stored blob rows.
     """
     index = stats.index("bfhm")
     if isinstance(index, BFHMIndexStatistics) and index.built:
@@ -335,8 +363,9 @@ def _bfhm_profile(stats: TableStatistics, num_buckets: int) -> _SideProfile:
                 maxes=[high for _, _, _, high in rows],
                 num_buckets=index.num_buckets,
                 total=float(sum(count for _, count, _, _ in rows)),
+                join_profile=stats.join_profile,
             )
-    return _reproject_profile(_profile(stats), num_buckets)
+    return _reproject_profile(histogram_profile, num_buckets)
 
 
 def _join_selectivity(left: TableStatistics, right: TableStatistics) -> float:
@@ -378,6 +407,10 @@ def _project_join_vectors(
             cell[0] += count
             cell[1] += distinct
     out: "list[dict[int, tuple[float, float]] | None]" = []
+    # the vectors outlive the plan that asked for them, and at about one
+    # join value per partition a few (count, distinct) cells repeat
+    # thousands of times: keep one tuple of each
+    cells: "dict[tuple[float, float], tuple[float, float]]" = {}
     for i, accumulated in enumerate(raw):
         if accumulated is None:
             out.append(None)
@@ -385,59 +418,83 @@ def _project_join_vectors(
         total = sum(count for count, _ in accumulated.values())
         factor = profile.counts[i] / total if total else 1.0
         out.append({
-            partition: (count * factor, distinct * factor)
+            partition: cells.setdefault(
+                cell := (count * factor, distinct * factor), cell
+            )
             for partition, (count, distinct) in accumulated.items()
         })
     return out
 
 
+#: slot of a memo table nothing was computed for yet (``None`` is an answer)
+_UNSET = object()
+
+
 class _JoinMatcher:
-    """Per-bucket-pair join expectations from the relations' 2-D profiles.
+    """Per-bucket-pair join expectations from two relations' 2-D profiles,
+    on the bucket grid of the two side profiles it is built from.
 
     Callable ``(left sim bucket index, right sim bucket index) ->
     (expected tuple-pair matches, expected distinct shared join values)``,
     or ``None`` when no profile covers a bucket (caller falls back to the
     uniform-selectivity estimate).
+
+    Every answer is a pure function of the two relations' statistics and
+    the grid — never of ``k`` or the scoring function — while one replay
+    asks for the same bucket pair once per simulated batch and the next
+    plan asks for them all again.  So answers are computed on first
+    request and kept in flat tables sized by the grid: one slot per bucket
+    pair, and per side one slot per (bucket, length of a partner *prefix*
+    ``0..n-1``) — the partner lists the cascade replay asks about, since
+    both sides fetch buckets in order.  Any other partner list is computed
+    afresh.  The planner holds a matcher exactly as long as both side
+    profiles (see :class:`_PreparedSide`).
     """
 
-    def __init__(
-        self,
-        left: TableStatistics,
-        right: TableStatistics,
-        profiles: "tuple[_SideProfile, _SideProfile]",
-    ) -> None:
-        self._join_profiles = (left.join_profile, right.join_profile)
-        if self._join_profiles[0] is None or self._join_profiles[1] is None:
+    def __init__(self, profiles: "tuple[_SideProfile, _SideProfile]") -> None:
+        left, right = profiles
+        if left.join_profile is None or right.join_profile is None:
             self._vectors = None
-        else:
-            self._vectors = (
-                _project_join_vectors(profiles[0], self._join_profiles[0]),
-                _project_join_vectors(profiles[1], self._join_profiles[1]),
-            )
+            return
+        self._vectors = (left.join_vectors, right.join_vectors)
+        self._distincts = (left.join_distincts, right.join_distincts)
+        self._universe = partition_universe(left.join_profile, right.join_profile)
+        sizes = (len(self._vectors[0]), len(self._vectors[1]))
+        self._width = sizes[1]
+        self._pairs: list = [_UNSET] * (sizes[0] * sizes[1])
+        #: per side: the other side's bucket indexes in fetch order, and
+        #: the memo slots ``bucket * (len(prefix) + 1) + partners``
+        self._prefix = (list(range(sizes[1])), list(range(sizes[0])))
+        self._unions: "tuple[list, list]" = (
+            [_UNSET] * (sizes[0] * (sizes[1] + 1)),
+            [_UNSET] * (sizes[1] * (sizes[0] + 1)),
+        )
 
     def __call__(
         self, left_index: int, right_index: int
     ) -> "tuple[float, float] | None":
         if self._vectors is None:
             return None
-        left_vector = self._vectors[0][left_index]
-        right_vector = self._vectors[1][right_index]
-        if left_vector is None or right_vector is None:
-            return None
-        return expected_bucket_join(
-            self._join_profiles[0], self._join_profiles[1],
-            left_vector, right_vector,
-        )
+        slot = left_index * self._width + right_index
+        found = self._pairs[slot]
+        if found is _UNSET:
+            left_vector = self._vectors[0][left_index]
+            right_vector = self._vectors[1][right_index]
+            if left_vector is None or right_vector is None:
+                found = None
+            else:
+                found = expected_bucket_join(
+                    self._universe, left_vector, right_vector
+                )
+            self._pairs[slot] = found
+        return found
 
     def bucket_distinct(self, side: int, index: int) -> "float | None":
         """Distinct join values in one sim bucket — what its BFHM filter
         actually hashes (duplicate values set the same bit)."""
         if self._vectors is None:
             return None
-        vector = self._vectors[side][index]
-        if vector is None:
-            return None
-        return sum(distinct for _, distinct in vector.values())
+        return self._distincts[side][index]
 
     def union_join(
         self, side: int, index: int, partners: "list[int]"
@@ -452,31 +509,116 @@ class _JoinMatcher:
         """
         if self._vectors is None:
             return None
+        prefix = self._prefix[side]
+        if partners != prefix[:len(partners)]:
+            return self._union_join(side, index, partners)
+        slot = index * (len(prefix) + 1) + len(partners)
+        found = self._unions[side][slot]
+        if found is _UNSET:
+            found = self._unions[side][slot] = self._union_join(
+                side, index, partners
+            )
+        return found
+
+    def _union_join(
+        self, side: int, index: int, partners: "list[int]"
+    ) -> "tuple[float, float] | None":
         mine = self._vectors[side][index]
         if mine is None:
             return None
+        others = self._vectors[1 - side]
+        # partner order is summation order: floats add up exactly as the
+        # caller listed them
         union: "dict[int, float]" = {}
         for partner in partners:
-            vector = self._vectors[1 - side][partner]
+            vector = others[partner]
             if vector is None:
                 return None
             for partition, (_, distinct) in vector.items():
                 union[partition] = union.get(partition, 0.0) + distinct
         shared = 0.0
         union_total = 0.0
-        left_profile, right_profile = self._join_profiles
+        universe = self._universe
         for partition, distinct in union.items():
-            universe = max(
-                left_profile.partition_distinct.get(partition, 1),
-                right_profile.partition_distinct.get(partition, 1),
-                1,
-            )
-            distinct = min(distinct, universe)
+            size = universe.get(partition, 1)
+            if distinct > size:
+                distinct = size
             union_total += distinct
             my_cell = mine.get(partition)
             if my_cell is not None:
-                shared += my_cell[1] * distinct / universe
+                shared += my_cell[1] * distinct / size
         return shared, union_total
+
+
+def _relation_key(stats: TableStatistics) -> "tuple[str, str]":
+    """What the statistics catalog files a relation's statistics under."""
+    return (stats.binding.signature, stats.binding.family)
+
+
+class _PreparedSide:
+    """What the planner derives from one relation's statistics alone.
+
+    Score profiles, and the join vectors and per-bucket distincts that
+    hang off them, depend on the :class:`TableStatistics` record and a
+    bucket grid — never on ``k`` or the scoring function — so they are
+    built on first use and serve every later plan over the same record.
+    ``TableStatistics`` is frozen and the catalog replaces it wholesale on
+    invalidation, so *the same record* means the same object: the planner
+    keeps one prepared side per relation and replaces it the first time
+    the catalog hands it a different statistics object.
+    """
+
+    def __init__(self, stats: TableStatistics) -> None:
+        self.stats = stats
+        self._profiles: "dict[int | None, _SideProfile]" = {}
+        self._shapes: "dict[int, tuple[dict, tuple[float, float]]]" = {}
+
+    def profile(self, num_buckets: "int | None" = None) -> _SideProfile:
+        """The relation's score profile: on the statistics histogram's own
+        grid by default (what the index-scan replays read), else what a
+        BFHM index of ``num_buckets`` buckets exposes
+        (:func:`_bfhm_profile`)."""
+        found = self._profiles.get(num_buckets)
+        if found is None:
+            if num_buckets is None:
+                found = _profile(self.stats)
+            else:
+                found = _bfhm_profile(self.stats, num_buckets, self.profile())
+            self._profiles[num_buckets] = found
+        return found
+
+    def bfhm_shape(self, m_bits: int) -> "tuple[dict, tuple[float, float]]":
+        """(blob facts, reverse-row shape) of the relation under a BFHM
+        index of ``m_bits`` filter bits — the per-side pricing facts of
+        :meth:`QueryPlanner._price_bfhm_rounds`."""
+        found = self._shapes.get(m_bits)
+        if found is not None:
+            return found
+        stats = self.stats
+        index = stats.index("bfhm")
+        blobs = (
+            index.bucket_blobs
+            if isinstance(index, BFHMIndexStatistics) and index.built
+            else {}
+        )
+        if (
+            isinstance(index, BFHMIndexStatistics)
+            and index.built
+            and index.reverse_rows
+        ):
+            shape = (index.avg_reverse_row_bytes, index.avg_reverse_row_cells)
+        else:
+            row_cells = max(1.0, stats.row_count / max(1, m_bits))
+            shape = (
+                row_cells * (
+                    8.0 + 16.0 + len(stats.binding.signature)
+                    + stats.avg_row_key_bytes
+                    + stats.avg_join_value_bytes + 8.0
+                ),
+                row_cells,
+            )
+        found = self._shapes[m_bits] = (blobs, shape)
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +648,11 @@ class QueryPlanner:
         self.platform = engine.platform
         self.catalog = catalog or StatisticsCatalog(engine.platform)
         self._plan_cache: "dict[tuple, tuple[int, QueryPlan]]" = {}
+        #: prepared inputs, per relation (catalog key) and per relation
+        #: pair + BFHM grid — private to this planner, so unlocked: the
+        #: serving layer gives every worker thread its own planner
+        self._sides: "dict[tuple[str, str], _PreparedSide]" = {}
+        self._matchers: "dict[tuple, _JoinMatcher]" = {}
         #: optional shared cache (duck-typed; see
         #: :class:`repro.serving.plan_cache.PlanCache`).  When set it
         #: replaces the private dict above, so many planners — one per
@@ -561,8 +708,11 @@ class QueryPlanner:
             )
             epoch = self.catalog.epoch
         else:
-            cached = self._plan_cache.get(key)
+            # popped either way: a hit goes back in as the newest entry,
+            # a stale plan is replaced below
+            cached = self._plan_cache.pop(key, None)
             if cached is not None and cached[0] == self.catalog.version:
+                self._plan_cache[key] = cached
                 cached[1].staleness = self._staleness_for(query)
                 return cached[1]
         stats = self.catalog.stats_for_query(query)
@@ -599,7 +749,8 @@ class QueryPlanner:
             shared.store(key, plan, versions, epoch)
         else:
             if len(self._plan_cache) >= self.PLAN_CACHE_LIMIT:
-                self._plan_cache.clear()
+                # the first key is the one planned or hit longest ago
+                del self._plan_cache[next(iter(self._plan_cache))]
             self._plan_cache[key] = (self.catalog.version, plan)
         return plan
 
@@ -616,6 +767,39 @@ class QueryPlanner:
             if staleness is not None and staleness.pending > 0:
                 lagging[binding.table] = staleness.pending
         return lagging
+
+    def _side(self, stats: TableStatistics) -> _PreparedSide:
+        """The prepared inputs of ``stats`` — built the first time the
+        catalog hands out this statistics object, dropped (with every
+        matcher over them) the first time it hands out another one for
+        the same relation."""
+        key = _relation_key(stats)
+        side = self._sides.get(key)
+        if side is None or side.stats is not stats:
+            self._matchers = {
+                pair: matcher
+                for pair, matcher in self._matchers.items()
+                if key not in pair[:2]
+            }
+            side = self._sides[key] = _PreparedSide(stats)
+        return side
+
+    def _matcher(
+        self,
+        left: TableStatistics,
+        right: TableStatistics,
+        num_buckets: "int | None" = None,
+    ) -> _JoinMatcher:
+        """The memoised join matcher of a relation pair, on the grid of
+        their :meth:`_PreparedSide.profile` for ``num_buckets``."""
+        sides = (self._side(left), self._side(right))
+        key = (_relation_key(left), _relation_key(right), num_buckets)
+        matcher = self._matchers.get(key)
+        if matcher is None:
+            matcher = self._matchers[key] = _JoinMatcher(
+                (sides[0].profile(num_buckets), sides[1].profile(num_buckets))
+            )
+        return matcher
 
     def _ledger(self) -> CostLedger:
         return CostLedger(self.platform.cost_model)
@@ -699,13 +883,13 @@ class QueryPlanner:
         """
         ledger = self._ledger()
         sel = _join_selectivity(left, right)
-        profiles = (_profile(left), _profile(right))
+        profiles = (self._side(left).profile(), self._side(right).profile())
         batch = (self._isl_batch_rows(left), self._isl_batch_rows(right))
 
         # the 2-D join profiles expose score-correlated join skew (high
         # scorers joining fewer partners than average), which a uniform
         # selectivity misses — the source of the LC Q1 depth underestimate
-        matcher = _JoinMatcher(left, right, profiles)
+        matcher = self._matcher(left, right)
         consumed, batches = _simulate_hrjn(
             profiles, query.function, query.k, batch, sel, matcher
         )
@@ -811,10 +995,10 @@ class QueryPlanner:
         sel = _join_selectivity(left, right)
         num_buckets, m_bits, _ = self._bfhm_config(left, right)
         profiles = (
-            _bfhm_profile(left, num_buckets),
-            _bfhm_profile(right, num_buckets),
+            self._side(left).profile(num_buckets),
+            self._side(right).profile(num_buckets),
         )
-        matcher = _JoinMatcher(left, right, profiles)
+        matcher = self._matcher(left, right, num_buckets)
 
         sim = _simulate_bfhm(
             profiles, query.function, query.k, m_bits, sel, matcher
@@ -830,7 +1014,7 @@ class QueryPlanner:
         blobs_by_side = []
         reverse_shape = []
         for stats in (left, right):
-            blobs, shape = self._bfhm_side_shape(stats, m_bits)
+            blobs, shape = self._side(stats).bfhm_shape(m_bits)
             blobs_by_side.append(blobs)
             reverse_shape.append(shape)
 
@@ -1134,8 +1318,8 @@ class QueryPlanner:
 
         # walk matrix rows (one per score bucket, both relations) until the
         # estimated join cardinality covers k
-        left_counts = _rebucket(_profile(left), num_score_buckets)
-        right_counts = _rebucket(_profile(right), num_score_buckets)
+        left_counts = _rebucket(self._side(left).profile(), num_score_buckets)
+        right_counts = _rebucket(self._side(right).profile(), num_score_buckets)
         cum_l = cum_r = 0.0
         rows_fetched = 0
         boundary_bucket = num_score_buckets - 1
@@ -1201,7 +1385,9 @@ class QueryPlanner:
         ledger = self._ledger()
         sel = self._multi_selectivity(stats)
         profiles = [
-            _reproject_profile(_profile(s), self.MULTIWAY_SIM_BUCKETS)
+            _reproject_profile(
+                self._side(s).profile(), self.MULTIWAY_SIM_BUCKETS
+            )
             for s in stats
         ]
         builder = self.engine.multiway_algorithm("isl")._builder
@@ -1293,35 +1479,6 @@ class QueryPlanner:
             tuple(stats),
         )
 
-    def _bfhm_side_shape(
-        self, side_stats: "TableStatistics", m_bits: int
-    ) -> "tuple[dict, tuple[float, float]]":
-        """(blob facts, reverse-row shape) of one indexed base relation —
-        the per-side pricing facts of :meth:`_price_bfhm_rounds`."""
-        index = side_stats.index("bfhm")
-        blobs = (
-            index.bucket_blobs
-            if isinstance(index, BFHMIndexStatistics) and index.built
-            else {}
-        )
-        if (
-            isinstance(index, BFHMIndexStatistics)
-            and index.built
-            and index.reverse_rows
-        ):
-            shape = (index.avg_reverse_row_bytes, index.avg_reverse_row_cells)
-        else:
-            row_cells = max(1.0, side_stats.row_count / max(1, m_bits))
-            shape = (
-                row_cells * (
-                    8.0 + 16.0 + len(side_stats.binding.signature)
-                    + side_stats.avg_row_key_bytes
-                    + side_stats.avg_join_value_bytes + 8.0
-                ),
-                row_cells,
-            )
-        return blobs, shape
-
     def _estimate_multi_bfhm(
         self, query: RankJoinQuery, stats: "list[TableStatistics]"
     ) -> CostEstimate:
@@ -1337,10 +1494,10 @@ class QueryPlanner:
         num_buckets, m_bits, _ = self._bfhm_config_multi(stats)
         k = query.k
 
-        left_profile = _bfhm_profile(stats[0], num_buckets)
-        left_shape: "tuple[dict, tuple[float, float]]" = self._bfhm_side_shape(
-            stats[0], m_bits
-        )
+        left_profile = self._side(stats[0]).profile(num_buckets)
+        left_shape: "tuple[dict, tuple[float, float]]" = self._side(
+            stats[0]
+        ).bfhm_shape(m_bits)
         d_left = stats[0].distinct_join_values
         intermediate_key_bytes = stats[0].avg_row_key_bytes
         stage_notes = []
@@ -1348,10 +1505,10 @@ class QueryPlanner:
         for stage, (function, upper) in enumerate(stages):
             prefix = f"s{stage + 1} "
             right_stats = stats[stage + 1]
-            right_profile = _bfhm_profile(right_stats, num_buckets)
+            right_profile = self._side(right_stats).profile(num_buckets)
             profiles = (left_profile, right_profile)
             matcher = (
-                _JoinMatcher(stats[0], right_stats, profiles)
+                self._matcher(stats[0], right_stats, num_buckets)
                 if stage == 0
                 else None
             )
@@ -1369,7 +1526,7 @@ class QueryPlanner:
                 profiles, function, k, m_bits, sel, matcher
             )
             sim = replay.run()
-            right_shape = self._bfhm_side_shape(right_stats, m_bits)
+            right_shape = self._side(right_stats).bfhm_shape(m_bits)
             blobs_by_side = [left_shape[0], right_shape[0]]
             reverse_shape = [left_shape[1], right_shape[1]]
             self._price_bfhm_rounds(
@@ -1744,6 +1901,10 @@ class _BFHMSimulation:
         return sum(entry.readmitted for entry in self.rounds)
 
 
+def _negated_min_score(pair: _SimPair) -> float:
+    return -pair.min_score
+
+
 class _BFHMCascadeReplay:
     """Symbolic re-enactment of the complete BFHM execution loop.
 
@@ -1792,6 +1953,9 @@ class _BFHMCascadeReplay:
         self.nxt = [0, 0]
         self.fetched: "tuple[list[int], list[int]]" = ([], [])
         self.pairs: "list[_SimPair]" = []
+        #: the same pairs by descending min score, equals in joining order
+        #: — what a stable sort of ``pairs`` would give, kept by insertion
+        self._by_min_score: "list[_SimPair]" = []
         self.total_weight = 0.0
         #: replayed reverse-mapping cache: bucket index -> rows fetched
         self._rows_cached: "tuple[dict[int, float], dict[int, float]]" = ({}, {})
@@ -1858,6 +2022,7 @@ class _BFHMCascadeReplay:
             if pair is None:
                 continue
             self.pairs.append(pair)
+            insort(self._by_min_score, pair, key=_negated_min_score)
             self.total_weight += pair.weight
         return True
 
@@ -1870,9 +2035,8 @@ class _BFHMCascadeReplay:
         """
         if k is None:
             k = self.k
-        ordered = sorted(self.pairs, key=lambda pair: -pair.min_score)
         accumulated = 0.0
-        for pair in ordered:
+        for pair in self._by_min_score:
             accumulated += pair.weight
             if accumulated >= k:
                 return pair.min_score
@@ -2191,6 +2355,7 @@ def _reproject_profile(profile: _SideProfile, num_buckets: int) -> _SideProfile:
         maxes=[merged[b][2] for b in buckets],
         num_buckets=num_buckets,
         total=profile.total,
+        join_profile=profile.join_profile,
     )
 
 

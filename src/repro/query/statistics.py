@@ -25,9 +25,9 @@ from repro.core.bfhm.bucket import Q_BLOB, Q_COUNT
 from repro.core.indexes import BFHM_TABLE, DRJN_TABLE, IJLMR_TABLE, ISL_TABLE
 from repro.errors import PlanningError
 from repro.platform import Platform
-from repro.relational.binding import RelationBinding, load_relation
+from repro.relational.binding import RelationBinding, join_and_score
 from repro.sketches.hashing import hash_to_range
-from repro.sketches.histogram import EquiWidthHistogram, score_to_bucket
+from repro.sketches.histogram import EquiWidthHistogram
 
 #: histogram resolution used for planning (matches the BFHM default, so a
 #: built BFHM index and the planner agree on bucket boundaries)
@@ -132,14 +132,28 @@ class JoinProfile:
         return self.cells.get(bucket)
 
 
+def partition_universe(left: "JoinProfile", right: "JoinProfile") -> "dict[int, int]":
+    """Join partition -> distinct join values it can hold when ``left``
+    joins ``right``: the larger of the two relations' counts, at least 1
+    (what a partition known to neither side counts as)."""
+    universe = {
+        partition: max(distinct, 1)
+        for partition, distinct in left.partition_distinct.items()
+    }
+    for partition, distinct in right.partition_distinct.items():
+        if distinct > universe.get(partition, 1):
+            universe[partition] = distinct
+    return universe
+
+
 def expected_bucket_join(
-    left: "JoinProfile",
-    right: "JoinProfile",
+    universe: "dict[int, int]",
     left_vector: "dict[int, tuple[float, float]]",
     right_vector: "dict[int, tuple[float, float]]",
 ) -> "tuple[float, float]":
     """Expected ``(tuple-pair matches, distinct shared join values)`` of
-    joining two score buckets, given their partition vectors.
+    joining two score buckets, given their partition vectors and the two
+    relations' :func:`partition_universe`.
 
     Within a partition of ``D`` distinct join values, a left cell holding
     ``d_l`` distinct values and a right cell holding ``d_r`` shares
@@ -161,13 +175,9 @@ def expected_bucket_join(
         if other is None:
             continue
         count_o, distinct_o = other
-        universe = max(
-            left.partition_distinct.get(partition, 1),
-            right.partition_distinct.get(partition, 1),
-            1,
-        )
-        pairs += count_s * count_o / universe
-        shared_values += distinct_s * distinct_o / universe
+        size = universe.get(partition, 1)
+        pairs += count_s * count_o / size
+        shared_values += distinct_s * distinct_o / size
     return pairs, shared_values
 
 
@@ -304,37 +314,57 @@ def gather_statistics(
     num_buckets: int = PLANNER_NUM_BUCKETS,
 ) -> TableStatistics:
     """One unmetered statistics pass over ``binding``'s base relation and
-    whatever indices exist for its signature."""
+    whatever indices exist for its signature.
+
+    The base table is iterated exactly once: each row yields its footprint
+    (cells, bytes) and, decoded, the two columns the rank join reads — no
+    other column is decoded and no per-row record is kept.  A row lacking
+    its join or score column fails the gather with the
+    :class:`~repro.errors.QueryError` of :func:`join_and_score`, which
+    names the row and the table.
+    """
     if not platform.store.has_table(binding.table):
         raise PlanningError(
             f"cannot plan over unknown table {binding.table!r}"
         )
-    rows = load_relation(platform.store, binding)
-    if not rows:
-        raise PlanningError(
-            f"cannot plan over empty relation {binding.table!r}"
-        )
     histogram = EquiWidthHistogram(num_buckets)
-    join_values: set[str] = set()
+    row_count = 0
+    total_cells = 0
+    total_row_bytes = 0
     join_bytes = 0
     key_bytes = 0
+    # join value -> (join partition, encoded length): both are functions of
+    # the value alone, and a foreign key repeats once per referencing row
+    value_facts: "dict[str, tuple[int, int]]" = {}
     # 2-D join profile accumulators: (bucket, partition) -> count/value set
     profile_cells: "dict[int, dict[int, list]]" = {}
-    for scored in rows:
+    backing = platform.store.backing(binding.table)
+    for row in backing.all_rows(families={binding.family}):  # lint: disable=RL301 (statistics gathering models catalog metadata, free by design — see gather_statistics)
+        join_value, score = join_and_score(binding, row)
+        row_count += 1
+        total_cells += len(row)
+        total_row_bytes += row.serialized_size()
+        facts = value_facts.get(join_value)
+        if facts is None:
+            facts = value_facts[join_value] = (
+                hash_to_range(join_value, PLANNER_JOIN_PARTITIONS),
+                len(join_value.encode("utf-8")),
+            )
+        partition, value_bytes = facts
+        join_bytes += value_bytes
+        key_bytes += len(row.row.encode("utf-8"))
         # the paper's score domain is [0, 1]; clamp so planning never
         # crashes on a denormalized outlier
-        score = min(max(scored.score, 0.0), 1.0)
-        histogram.add(score)
-        join_values.add(scored.join_value)
-        join_bytes += len(scored.join_value.encode("utf-8"))
-        key_bytes += len(scored.row_key.encode("utf-8"))
-        bucket = score_to_bucket(score, num_buckets)
-        partition = hash_to_range(scored.join_value, PLANNER_JOIN_PARTITIONS)
+        bucket = histogram.add(min(max(score, 0.0), 1.0))
         cell = profile_cells.setdefault(bucket, {}).setdefault(
             partition, [0, set()]
         )
         cell[0] += 1
-        cell[1].add(scored.join_value)
+        cell[1].add(join_value)
+    if not row_count:
+        raise PlanningError(
+            f"cannot plan over empty relation {binding.table!r}"
+        )
     # per-partition distinct values: union of the cell value sets (each
     # value hashes to exactly one partition)
     partition_values: "dict[int, set[str]]" = {}
@@ -357,13 +387,6 @@ def gather_statistics(
         },
     )
 
-    backing = platform.store.backing(binding.table)
-    total_cells = 0
-    total_row_bytes = 0
-    for row in backing.all_rows(families={binding.family}):  # lint: disable=RL301 (statistics gathering models catalog metadata, free by design — see gather_statistics)
-        total_cells += len(row)
-        total_row_bytes += row.serialized_size()
-
     signature = binding.signature
     indexes: dict[str, IndexStatistics] = {
         "ijlmr": _flat_index_stats(platform, "ijlmr", IJLMR_TABLE, signature),
@@ -375,12 +398,12 @@ def gather_statistics(
 
     return TableStatistics(
         binding=binding,
-        row_count=len(rows),
-        distinct_join_values=len(join_values),
+        row_count=row_count,
+        distinct_join_values=len(value_facts),
         total_cells=total_cells,
         total_row_bytes=total_row_bytes,
-        avg_join_value_bytes=join_bytes / len(rows),
-        avg_row_key_bytes=key_bytes / len(rows),
+        avg_join_value_bytes=join_bytes / row_count,
+        avg_row_key_bytes=key_bytes / row_count,
         histogram=histogram,
         join_profile=join_profile,
         indexes=indexes,

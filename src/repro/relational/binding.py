@@ -41,8 +41,8 @@ class RelationBinding:
         return self.alias or self.table
 
 
-def row_to_scored(binding: RelationBinding, row: RowResult) -> ScoredRow:
-    """Decode a stored row into the rank-join view."""
+def join_and_score(binding: RelationBinding, row: RowResult) -> "tuple[str, float]":
+    """The two columns of a stored row that the rank join reads, decoded."""
     join_raw = row.value(binding.family, binding.join_column)
     score_raw = row.value(binding.family, binding.score_column)
     if join_raw is None or score_raw is None:
@@ -50,6 +50,12 @@ def row_to_scored(binding: RelationBinding, row: RowResult) -> ScoredRow:
             f"row {row.row!r} of {binding.table!r} lacks join/score columns "
             f"{binding.join_column!r}/{binding.score_column!r}"
         )
+    return decode_str(join_raw), decode_float(score_raw)
+
+
+def row_to_scored(binding: RelationBinding, row: RowResult) -> ScoredRow:
+    """Decode a stored row into the rank-join view."""
+    join_value, score = join_and_score(binding, row)
     payload = {
         cell.qualifier: cell.value
         for cell in row.family_cells(binding.family)
@@ -57,8 +63,8 @@ def row_to_scored(binding: RelationBinding, row: RowResult) -> ScoredRow:
     }
     return ScoredRow(
         row_key=row.row,
-        join_value=decode_str(join_raw),
-        score=decode_float(score_raw),
+        join_value=join_value,
+        score=score,
         payload=payload,
     )
 

@@ -1,0 +1,105 @@
+"""Prepared planner inputs live exactly as long as their statistics.
+
+A :class:`~repro.query.planner.QueryPlanner` keeps the k-independent part
+of its work (score profiles, join vectors, memoised bucket-pair joins)
+between plans, valid while the catalog still hands out the statistics
+object it was built from.  Landed maintenance replaces that object; the
+next plan must then be the plan a brand-new planner makes — field for
+field — and nothing may keep the replaced statistics alive.
+"""
+
+from __future__ import annotations
+
+import gc
+import threading
+import weakref
+
+from repro.core.bfhm.algorithm import BFHMRankJoin
+from repro.core.isl import ISLRankJoin
+from repro.maintenance.interceptor import MaintainedRelation
+from repro.query.planner import QueryPlanner
+from repro.serving.server import QueryServer
+from repro.tpch.loader import lineitem_by_order_binding
+from repro.tpch.queries import q2
+from repro.tpch.updates import generate_refresh_sets
+from tests.integration.test_golden_plans import _pinned
+
+
+def _refresh_lineitem(setup, relation) -> None:
+    """One TPC-H refresh set's lineitem inserts and deletes."""
+    refresh = generate_refresh_sets(setup.data, count=1)[0]
+    relation.insert_batch(
+        [(item["rowkey"], item) for item in refresh.insert_lineitems]
+    )
+    assert relation.delete_batch(list(refresh.delete_lineitems)) > 0
+
+
+def test_plan_after_maintenance_equals_a_new_planners(fresh_setup):
+    platform, engine = fresh_setup.platform, fresh_setup.engine
+    query = q2(20)
+    isl, bfhm = ISLRankJoin(platform), BFHMRankJoin(platform)
+    for algorithm in (isl, bfhm):
+        algorithm.prepare(query)
+        engine.register(algorithm.name.lower(), algorithm)
+    lineitem = MaintainedRelation(
+        platform, lineitem_by_order_binding(),
+        maintain_isl=True, bfhm_manager=bfhm.update_manager,
+        statistics_catalog=engine.statistics,
+    )
+
+    first = _pinned(engine.plan(query))
+    replaced = weakref.ref(engine.statistics.stats_for(query.right))
+    kept = engine.statistics.stats_for(query.left)
+
+    _refresh_lineitem(fresh_setup, lineitem)
+
+    second = _pinned(engine.plan(query))
+    assert second == _pinned(QueryPlanner(engine).plan(query))
+    assert second != first  # the refresh really moved the estimates
+    assert engine.statistics.stats_for(query.left) is kept
+    gc.collect()
+    assert replaced() is None, "something still holds the replaced statistics"
+
+
+def test_worker_engines_sharing_one_catalog_each_replace_their_own(fresh_setup):
+    platform = fresh_setup.platform
+    with QueryServer(platform, workers=2) as server:
+        # one engine per thread, as the reader pool builds them
+        engines = []
+        for _ in range(2):
+            thread = threading.Thread(
+                target=lambda: engines.append(server.engine())
+            )
+            thread.start()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert engines[0] is not engines[1]
+        assert engines[0].statistics is engines[1].statistics
+        lineitem = MaintainedRelation(
+            platform, lineitem_by_order_binding(),
+            statistics_catalog=server.statistics,
+        )
+        # different k per worker: each prices its own plan (the shared
+        # plan cache would hand the second worker the first one's)
+        queries = [q2(10), q2(30)]
+
+        first = [
+            _pinned(engine.plan(query))
+            for engine, query in zip(engines, queries)
+        ]
+        replaced = weakref.ref(server.statistics.stats_for(queries[0].right))
+        for engine in engines:
+            (side,) = [
+                side for side in engine.planner._sides.values()
+                if side.stats is replaced()
+            ]
+        del side
+
+        _refresh_lineitem(fresh_setup, lineitem)
+
+        for engine, query, before in zip(engines, queries, first):
+            again = _pinned(engine.plan(query))
+            assert again == _pinned(QueryPlanner(engine).plan(query))
+            assert again != before
+        gc.collect()
+        assert replaced() is None, "a worker still holds the replaced statistics"

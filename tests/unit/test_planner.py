@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.cluster.costmodel import EC2_PROFILE, LC_PROFILE
-from repro.errors import PlanningError
+from repro.common.serialization import encode_float, encode_str
+from repro.errors import PlanningError, QueryError
+from repro.query import planner as planner_module
+from repro.query.engine import RankJoinEngine
+from repro.query.parser import parse_rank_join
 from repro.query.planner import (
     CostEstimate,
     CostLedger,
@@ -20,7 +26,11 @@ from repro.query.statistics import (
     StatisticsCatalog,
     gather_statistics,
 )
+from repro.relational.binding import RelationBinding
+from repro.store.client import Put
+from repro.store.table import StoreTable
 from repro.tpch.queries import q1, q2
+from tests.integration.test_golden_plans import WEIGHTED_Q2_SQL
 
 
 class TestCostLedger:
@@ -122,12 +132,38 @@ class TestStatistics:
 
     def test_empty_relation_rejected(self, empty_platform):
         empty_platform.store.create_table("bare", {"d"})
-        from repro.relational.binding import RelationBinding
 
         with pytest.raises(PlanningError):
             gather_statistics(
                 empty_platform, RelationBinding("bare", "j", "s")
             )
+
+    def test_gather_iterates_the_base_table_once(self, shared_setup, monkeypatch):
+        """Footprint, histogram and join profile come out of one scan."""
+        yielded = Counter()
+        real = StoreTable.all_rows
+
+        def counting(table, families=None):
+            for row in real(table, families):
+                yielded[table.name] += 1
+                yield row
+
+        monkeypatch.setattr(StoreTable, "all_rows", counting)
+        binding = q2(1).right
+        stats = gather_statistics(shared_setup.platform, binding)
+        assert yielded[binding.table] == stats.row_count > 0
+
+    def test_row_lacking_its_score_column_fails_the_gather(self, empty_platform):
+        """The one-pass gather keeps the typed error of the row decoder,
+        naming the row and the table."""
+        empty_platform.store.create_table("t", {"d"})
+        htable = empty_platform.store.table("t")
+        htable.put(
+            Put("r1").add("d", "j", encode_str("a")).add("d", "s", encode_float(0.5))
+        )
+        htable.put(Put("r2").add("d", "j", encode_str("b")))
+        with pytest.raises(QueryError, match="row 'r2' of 't' lacks join/score"):
+            gather_statistics(empty_platform, RelationBinding("t", "j", "s"))
 
 
 class TestStatisticsCatalog:
@@ -269,3 +305,80 @@ class TestPlanner:
     def test_subset_of_algorithms(self, shared_setup):
         plan = shared_setup.engine.plan(q1(10), algorithms=["isl", "hive"])
         assert {e.algorithm for e in plan.estimates} == {"ISL", "HIVE"}
+
+
+class TestPreparedInputs:
+    """What depends only on the statistics is built once, not per plan."""
+
+    @pytest.fixture()
+    def projected(self, monkeypatch):
+        """Every profile ``_project_join_vectors`` is asked to project
+        (the profiles themselves, so their ids stay those of live objects)."""
+        profiles = []
+        real = planner_module._project_join_vectors
+
+        def recording(profile, join_profile):
+            profiles.append(profile)
+            return real(profile, join_profile)
+
+        monkeypatch.setattr(planner_module, "_project_join_vectors", recording)
+        return profiles
+
+    def test_join_vectors_projected_once_per_side_and_grid(
+        self, shared_setup, projected
+    ):
+        engine = RankJoinEngine(shared_setup.platform)
+        plans = [engine.plan(q2(k)) for k in range(1, 11)]
+        plans += [
+            engine.plan(parse_rank_join(WEIGHTED_Q2_SQL.format(w=w, k=10)))
+            for w in (2, 5)
+        ]
+        assert len({id(plan) for plan in plans}) == 12  # none from a cache
+        # two relations x (statistics grid for ISL, index grid for BFHM)
+        assert 2 <= len(projected) <= 4
+        assert len({id(profile) for profile in projected}) == len(projected)
+
+    def test_an_unbuilt_index_on_the_statistics_grid_shares_the_vectors(
+        self, tiny_engine, projected
+    ):
+        """Unbuilt, BFHM's profile is the histogram's own when the grids
+        agree — one projection per side serves both replays."""
+        for k in (1, 5, 9):
+            tiny_engine.plan(q1(k), algorithms=["isl", "bfhm"])
+        assert len(projected) == 2
+
+    def test_new_statistics_replace_the_prepared_side(self, tiny_engine):
+        planner = tiny_engine.planner
+        tiny_engine.plan(q1(3))
+        before = dict(planner._sides)
+        tiny_engine.invalidate_statistics("lineitem")
+        tiny_engine.plan(q1(3))
+        part, lineitem = (
+            (s.binding.signature, s.binding.family)
+            for s in tiny_engine.statistics.stats_for_query(q1(3))
+        )
+        assert planner._sides[part] is before[part]
+        assert planner._sides[lineitem] is not before[lineitem]
+        for matcher_key, matcher in planner._matchers.items():
+            assert matcher._vectors[1] is (
+                planner._sides[lineitem].profile(matcher_key[2]).join_vectors
+            )
+
+
+class TestPrivatePlanCache:
+    def test_hot_shape_survives_a_stream_of_novel_ones(self, tiny_engine):
+        """Reaching the limit evicts the plan used longest ago, not every
+        plan: a shape planned again and again between 70 novel ones never
+        leaves the cache."""
+        planner = tiny_engine.planner
+        hot = tiny_engine.plan(q1(1), algorithms=["hive"])
+        novel = {}
+        for k in range(2, 72):
+            novel[k] = tiny_engine.plan(q1(k), algorithms=["hive"])
+            if k % 10 == 0:
+                assert tiny_engine.plan(q1(1), algorithms=["hive"]) is hot
+            assert len(planner._plan_cache) <= planner.PLAN_CACHE_LIMIT
+        assert tiny_engine.plan(q1(1), algorithms=["hive"]) is hot
+        # the novel shapes went out oldest first
+        assert tiny_engine.plan(q1(71), algorithms=["hive"]) is novel[71]
+        assert tiny_engine.plan(q1(2), algorithms=["hive"]) is not novel[2]
