@@ -15,7 +15,7 @@ well-defined serialized size.  We use compact, deterministic encodings:
 from __future__ import annotations
 
 import struct
-from typing import Any
+from typing import Any, Callable, Iterable
 
 _MASK64 = (1 << 64) - 1
 _SIGN64 = 1 << 63
@@ -71,29 +71,77 @@ def decode_score_key(key: str) -> float:
     return struct.unpack(">d", struct.pack(">Q", bits))[0]
 
 
+#: framing a tuple, list or dict adds around its items
+CONTAINER_HEADER_BYTES = 2
+
+
+def _sizeof_str(value: str) -> int:
+    # isascii() reads a flag: one byte per character, nothing to encode
+    return len(value) if value.isascii() else len(value.encode("utf-8"))
+
+
+def _sizeof_int(value: int) -> int:
+    return max(1, (value.bit_length() + 7) // 8)
+
+
+def _sizeof_sequence(value: Iterable[Any]) -> int:
+    # dispatches each item here, so a leaf costs one call, not two
+    total = CONTAINER_HEADER_BYTES
+    for item in value:
+        sizer = _sizer_of(type(item))
+        total += sizer(item) if sizer is not None else sizeof(item)
+    return total
+
+
+def _sizeof_mapping(value: dict) -> int:
+    # the keys and the values, under one header
+    return (
+        _sizeof_sequence(value)
+        + _sizeof_sequence(value.values())
+        - CONTAINER_HEADER_BYTES
+    )
+
+
+#: exact type -> sizer, for the types records are actually made of; a
+#: subclass (IntEnum, namedtuple, OrderedDict, ...) misses here and takes
+#: the ``isinstance`` ladder below, which gives it its base type's size
+_SIZERS: "dict[type, Callable[[Any], int]]" = {
+    type(None): lambda value: 1,
+    bool: lambda value: 1,
+    bytes: len,
+    str: _sizeof_str,
+    int: _sizeof_int,
+    float: lambda value: 8,
+    tuple: _sizeof_sequence,
+    list: _sizeof_sequence,
+    dict: _sizeof_mapping,
+}
+_sizer_of = _SIZERS.get
+
+
 def sizeof(value: Any) -> int:
     """Serialized size (bytes) of a value for network/storage accounting.
 
     Handles the primitives the library stores: bytes, str, int, float, bool,
     None, and (recursively) tuples/lists/dicts of those.
     """
-    if value is None:
-        return 1
-    if isinstance(value, bool):
-        return 1
+    sizer = _sizer_of(type(value))
+    if sizer is not None:
+        return sizer(value)
+    # subclasses only from here on (None and bool have none)
     if isinstance(value, bytes):
         return len(value)
     if isinstance(value, str):
-        return len(value.encode("utf-8"))
+        return _sizeof_str(value)
     if isinstance(value, int):
-        return max(1, (value.bit_length() + 7) // 8)
+        return _sizeof_int(value)
     if isinstance(value, float):
         return 8
     if isinstance(value, (tuple, list)):
-        return 2 + sum(sizeof(v) for v in value)
+        return _sizeof_sequence(value)
     if isinstance(value, dict):
-        return 2 + sum(sizeof(k) + sizeof(v) for k, v in value.items())
-    # dataclass-like objects used internally expose __sizeof_payload__
+        return _sizeof_mapping(value)
+    # store objects (Cell, RowResult, Put, ...) know their own size
     payload_size = getattr(value, "serialized_size", None)
     if callable(payload_size):
         return payload_size()

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.common.serialization import sizeof
 from repro.errors import JobConfigurationError
 from repro.sketches.hashing import hash_to_range
 
@@ -31,14 +30,12 @@ class TaskContext:
 
     def __init__(self) -> None:
         self.emitted: list[tuple[Any, Any]] = []
-        self.emitted_bytes = 0
         self.counters: dict[str, float] = {}
         self.state: dict[str, Any] = {}
 
     def emit(self, key: Any, value: Any) -> None:
         """Emit one intermediate or output pair."""
         self.emitted.append((key, value))
-        self.emitted_bytes += sizeof(key) + sizeof(value)
 
     def bump(self, counter: str, amount: float = 1.0) -> None:
         """Increment a job counter."""

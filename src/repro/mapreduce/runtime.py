@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.common.serialization import sizeof
+from repro.common.serialization import CONTAINER_HEADER_BYTES, sizeof
 from repro.errors import JobConfigurationError
 from repro.mapreduce.hdfs import SimHDFS
 from repro.mapreduce.job import (
@@ -113,14 +113,27 @@ def _execute_map_split(
     return _MapOutcome(task.counters, len(task.emitted), emitted)
 
 
+def _pair_bytes(pair: "tuple[Any, Any]") -> int:
+    """``sizeof(key) + sizeof(value)`` in one call: the pair tuple's size
+    without the tuple's own framing."""
+    return sizeof(pair) - CONTAINER_HEADER_BYTES
+
+
 def _execute_reduce_partition(
-    reduce_fn: "Callable", pairs: "list[tuple[Any, Any]]"
+    reduce_fn: "Callable", pairs: "list[tuple[Any, Any]]", pairs_bytes: int
 ) -> _ReduceOutcome:
-    """Run one reducer's task over its partition of the shuffle."""
+    """Run one reducer's task over its partition of the shuffle.
+
+    ``pairs_bytes`` is what the shuffle measured for ``pairs``; the
+    grouped input holds each key once, so the repeats come back out
+    (keys that compare equal are taken to size equal).
+    """
     task = TaskContext()
     grouped = _group_sorted(pairs)
-    grouped_bytes = sum(
-        sizeof(key) + sum(sizeof(v) for v in values) for key, values in grouped
+    grouped_bytes = pairs_bytes - sum(
+        (len(values) - 1) * sizeof(key)
+        for key, values in grouped
+        if len(values) > 1
     )
     for key, values in grouped:
         reduce_fn(key, values, task)
@@ -255,7 +268,7 @@ class JobRunner:
         # ---- map-only jobs write directly from mappers ----
         if job.map_only:
             all_pairs = [pair for _, pairs in map_outputs for pair in pairs]
-            self._write_output(job, all_pairs, map_outputs, result)
+            self._write_output(job, all_pairs, result)
             result.sim_time_s = metrics.sim_time_s
             return result
 
@@ -265,13 +278,18 @@ class JobRunner:
         partitions: list[list[tuple[Any, Any]]] = [
             [] for _ in range(job.num_reducers)
         ]
+        # the one place a shuffled pair is sized: network traffic and the
+        # reducers' footprints are both sums of this number
+        partition_bytes = [0] * job.num_reducers
         shuffle_remote_bytes = 0
         for node, pairs in map_outputs:
-            for key, value in pairs:
-                reducer = job.partition_fn(key, job.num_reducers)
-                partitions[reducer].append((key, value))
+            for pair in pairs:
+                reducer = job.partition_fn(pair[0], job.num_reducers)
+                partitions[reducer].append(pair)
+                nbytes = _pair_bytes(pair)
+                partition_bytes[reducer] += nbytes
                 if reducer_nodes[reducer].node_id != node.node_id:
-                    shuffle_remote_bytes += sizeof(key) + sizeof(value)
+                    shuffle_remote_bytes += nbytes
         metrics.add_network(shuffle_remote_bytes)
         metrics.advance_time(model.network_time(shuffle_remote_bytes))
         result.shuffle_bytes = shuffle_remote_bytes
@@ -283,26 +301,27 @@ class JobRunner:
             if pairs
         ]
         reduce_outcomes = [
-            _execute_reduce_partition(job.reduce_fn, pairs)
-            for _, _, pairs in reduce_jobs
+            _execute_reduce_partition(
+                job.reduce_fn, pairs, partition_bytes[reducer_index]
+            )
+            for reducer_index, _, pairs in reduce_jobs
         ]
 
-        reduce_outputs: list[tuple["Node", list[tuple[Any, Any]]]] = []
+        all_pairs: list[tuple[Any, Any]] = []
         reduce_times: dict[int, list[float]] = {}
         for (_, node, pairs), outcome in zip(reduce_jobs, reduce_outcomes):
             metrics.record_peak("reducer_peak_bytes", outcome.grouped_bytes)
             reduce_times.setdefault(node.node_id, []).append(
                 model.cpu_time(len(pairs)) + model.cpu_time(len(outcome.emitted))
             )
-            reduce_outputs.append((node, outcome.emitted))
+            all_pairs.extend(outcome.emitted)
             for name, amount in outcome.counters.items():
                 result.counters[name] = result.counters.get(name, 0.0) + amount
             result.reduce_tasks += 1
 
         metrics.advance_time(self._wave_time(reduce_times))
 
-        all_pairs = [pair for _, pairs in reduce_outputs for pair in pairs]
-        self._write_output(job, all_pairs, reduce_outputs, result)
+        self._write_output(job, all_pairs, result)
         result.sim_time_s = metrics.sim_time_s
         return result
 
@@ -312,7 +331,6 @@ class JobRunner:
         self,
         job: Job,
         all_pairs: "list[tuple[Any, Any]]",
-        placed_outputs: "list[tuple[Node, list[tuple[Any, Any]]]]",
         result: JobResult,
     ) -> None:
         model = self.ctx.cost_model
@@ -321,11 +339,7 @@ class JobRunner:
 
         if isinstance(output, CollectOutput):
             # ship to the driver on the master node
-            remote = sum(
-                sizeof(k) + sizeof(v)
-                for node, pairs in placed_outputs
-                for k, v in pairs
-            )
+            remote = sum(map(_pair_bytes, all_pairs))
             metrics.add_network(remote)
             metrics.advance_time(model.network_time(remote))
             result.collected = all_pairs
@@ -345,17 +359,16 @@ class JobRunner:
             # check per family, one bisect per cell; split timing and the
             # metered payload are identical to the old per-cell loop)
             cells: list[Cell] = []
-            for node, pairs in placed_outputs:
-                for _, put in pairs:
-                    timestamp = (
-                        put.timestamp
-                        if put.timestamp is not None
-                        else self.ctx.next_timestamp()
+            for _, put in all_pairs:
+                timestamp = (
+                    put.timestamp
+                    if put.timestamp is not None
+                    else self.ctx.next_timestamp()
+                )
+                for family, qualifier, value in put.cells:
+                    cells.append(
+                        Cell(put.row, family, qualifier, value, timestamp)
                     )
-                    for family, qualifier, value in put.cells:
-                        cells.append(
-                            Cell(put.row, family, qualifier, value, timestamp)
-                        )
             payload = sum(cell.serialized_size() for cell in cells)
             table.apply_batch(cells)
             # task -> region server transfer (+ WAL replication copies,

@@ -85,7 +85,9 @@ def resolve_versions(cells: Iterable[Cell]) -> list[Cell]:
     return visible
 
 
-def iter_visible(sorted_cells: Iterable[Cell]) -> Iterator[Cell]:
+def iter_visible(
+    sorted_cells: Iterable[Cell], families: "set[str] | None" = None
+) -> Iterator[Cell]:
     """Streaming :func:`resolve_versions` over KeyValue-ordered cells.
 
     The input must already be sorted by :meth:`Cell.sort_key` (e.g. the
@@ -94,46 +96,60 @@ def iter_visible(sorted_cells: Iterable[Cell]) -> Iterator[Cell]:
     resolver then needs only one column group in memory at a time and yields
     visible cells as soon as each group closes — this is what lets a
     ``limit``-ed scan stop without materializing the region.
+
+    Cells outside ``families`` are dropped before resolution (the family is
+    part of the column key, so no group straddles the filter).  A column
+    with one raw cell never forms a group: the cell is yielded, unless it is
+    a tombstone, as soon as the next one opens a different column.
     """
-    current_key: "tuple[str, str, str] | None" = None
-    group: list[Cell] = []
+    first: "Cell | None" = None  # the open column's first (newest) raw cell
+    group: "list[Cell] | None" = None  # all of them, once there are two
     for cell in sorted_cells:
-        key = (cell.row, cell.family, cell.qualifier)
-        if key != current_key:
-            if group:
+        if families is not None and cell.family not in families:
+            continue
+        if first is not None:
+            if (
+                cell.qualifier == first.qualifier
+                and cell.row == first.row
+                and cell.family == first.family
+            ):
+                if group is None:
+                    group = [first, cell]
+                else:
+                    group.append(cell)
+                continue
+            if group is not None:
                 chosen = _visible_of_column(group)
                 if chosen is not None:
                     yield chosen
-            current_key = key
-            group = [cell]
-        else:
-            group.append(cell)
-    if group:
+                group = None
+            elif not first.is_delete:
+                yield first
+        first = cell
+    if group is not None:
         chosen = _visible_of_column(group)
         if chosen is not None:
             yield chosen
+    elif first is not None and not first.is_delete:
+        yield first
 
 
-def iter_row_results(
-    visible: Iterable[Cell], families: "set[str] | None" = None
-) -> "Iterator[RowResult]":
-    """Group an already-resolved, sorted cell stream into per-row results.
-
-    Rows whose cells are all filtered out by ``families`` are skipped, so a
-    family-restricted scan never ships empty rows (matching the eager
-    :func:`group_rows` behaviour on a pre-filtered list).
-    """
-    current: RowResult | None = None
+def iter_row_results(visible: Iterable[Cell]) -> "Iterator[RowResult]":
+    """Group an already-resolved, sorted cell stream into per-row results
+    (only rows with at least one cell, so a family-restricted scan, filtered
+    in :func:`iter_visible`, never ships empty rows)."""
+    row = ""
+    cells: list[Cell] = []
     for cell in visible:
-        if families is not None and cell.family not in families:
+        if cell.row == row:
+            cells.append(cell)
             continue
-        if current is None or current.row != cell.row:
-            if current is not None:
-                yield current
-            current = RowResult(cell.row)
-        current.cells.append(cell)
-    if current is not None:
-        yield current
+        if cells:
+            yield RowResult(row, cells)
+        row = cell.row
+        cells = [cell]
+    if cells:
+        yield RowResult(row, cells)
 
 
 @dataclass(slots=True)

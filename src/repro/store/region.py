@@ -157,10 +157,10 @@ class Region:
 
     def read_row(self, row: str, families: "set[str] | None" = None) -> RowResult:
         """Visible cells of one row (point get)."""
-        cells = resolve_versions(self._raw_cells_for_row(row))
+        cells = self._raw_cells_for_row(row)
         if families is not None:
             cells = [c for c in cells if c.family in families]
-        return RowResult(row, cells)
+        return RowResult(row, resolve_versions(cells))
 
     def merged_cells(
         self, start_row: "str | None" = None, stop_row: "str | None" = None
@@ -202,7 +202,7 @@ class Region:
         O(k) cells, not O(region).
         """
         return iter_row_results(
-            iter_visible(self.merged_cells(start_row, stop_row)), families
+            iter_visible(self.merged_cells(start_row, stop_row), families)
         )
 
     def raw_cell_count(self) -> int:

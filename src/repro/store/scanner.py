@@ -61,26 +61,31 @@ class RegionScanner:
                 if not batch:
                     break
                 self.rpc_round_trips += 1
-
-                scanned_cells = sum(len(row) for row in batch)
-                scanned_bytes = sum(row.serialized_size() for row in batch)
-                ctx.charge_server_read(scanned_bytes, scanned_cells, sequential=True)
-
-                if scan.filter is not None:
-                    shipped = [row for row in batch if scan.filter.matches(row)]
-                    shipped_bytes = sum(row.serialized_size() for row in shipped)
-                else:
-                    shipped = batch
-                    shipped_bytes = scanned_bytes
-                ctx.charge_rpc(
-                    RESPONSE_OVERHEAD_BYTES, RESPONSE_OVERHEAD_BYTES + shipped_bytes
-                )
-
-                for row in shipped:
+                for row in self._ship(batch):
                     if limit is not None and self.rows_returned >= limit:
                         return
                     self.rows_returned += 1
                     yield row
+
+    def _ship(self, batch: "list[RowResult]") -> "list[RowResult]":
+        """Charge one RPC batch — the server reads every row of it, the
+        filter runs server-side, the matches cross the network — and
+        return the rows shipped."""
+        scan_filter = self.scan.filter
+        ctx = self.htable.ctx
+        scanned_cells = sum(len(row) for row in batch)
+        scanned_bytes = sum(row.serialized_size() for row in batch)
+        ctx.charge_server_read(scanned_bytes, scanned_cells, sequential=True)
+        if scan_filter is not None:
+            shipped = [row for row in batch if scan_filter.matches(row)]
+            shipped_bytes = sum(row.serialized_size() for row in shipped)
+        else:
+            shipped = batch
+            shipped_bytes = scanned_bytes
+        ctx.charge_rpc(
+            RESPONSE_OVERHEAD_BYTES, RESPONSE_OVERHEAD_BYTES + shipped_bytes
+        )
+        return shipped
 
     def _iter_scatter(self, regions, groups) -> Iterator[RowResult]:
         """Parallel scan: each region server streams its regions inside one
@@ -109,28 +114,7 @@ class RegionScanner:
                         if not batch:
                             break
                         round_trips += 1
-                        scanned_cells = sum(len(row) for row in batch)
-                        scanned_bytes = sum(
-                            row.serialized_size() for row in batch
-                        )
-                        ctx.charge_server_read(
-                            scanned_bytes, scanned_cells, sequential=True
-                        )
-                        if scan.filter is not None:
-                            shipped = [
-                                row for row in batch if scan.filter.matches(row)
-                            ]
-                            shipped_bytes = sum(
-                                row.serialized_size() for row in shipped
-                            )
-                        else:
-                            shipped = batch
-                            shipped_bytes = scanned_bytes
-                        ctx.charge_rpc(
-                            RESPONSE_OVERHEAD_BYTES,
-                            RESPONSE_OVERHEAD_BYTES + shipped_bytes,
-                        )
-                        collected.extend(shipped)
+                        collected.extend(self._ship(batch))
                     shipped_by_region[id(region)] = collected
                 return round_trips, shipped_by_region
 

@@ -8,7 +8,10 @@ their own platform via ``fresh_setup``.
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.bench.harness import ExperimentSetup, build_setup
 from repro.cluster.costmodel import EC2_PROFILE
@@ -17,6 +20,16 @@ from repro.query.engine import RankJoinEngine
 from repro.tpch.generator import generate
 from repro.tpch.loader import load_tpch
 from repro.tpch.queries import q1, q2
+
+# Property tests: on CI (GitHub sets ``CI``) draw the same examples every
+# run and never time an example, so the blocking ``test`` job cannot fail
+# on a slow runner or on an example nobody can draw again; locally keep
+# drawing fresh examples and print the ``@reproduce_failure`` handle of
+# any that fails.  Loaded before the test modules are imported, so their
+# ``@settings(max_examples=...)`` inherit the rest from the profile.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.register_profile("dev", print_blob=True)
+settings.load_profile("ci" if os.environ.get("CI") else "dev")
 
 #: small but non-trivial: ~40 parts / ~300 orders / ~1200 lineitems
 TEST_SCALE = 0.2

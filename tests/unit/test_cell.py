@@ -1,9 +1,18 @@
 """Cells, version resolution, and row grouping."""
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.store.cell import Cell, RowResult, group_rows, resolve_versions
+from repro.cluster.costmodel import EC2_PROFILE
+from repro.cluster.simulation import SimCluster
+from repro.store.cell import (
+    Cell,
+    RowResult,
+    group_rows,
+    iter_visible,
+    resolve_versions,
+)
+from repro.store.region import Region
 
 
 def cell(row="r", family="d", qualifier="q", value=b"v", ts=1, delete=False):
@@ -102,3 +111,64 @@ class TestRowResult:
         grouped = group_rows(cells)
         assert [r.row for r in grouped] == ["r1", "r2"]
         assert len(grouped[1]) == 2
+
+
+# -- the streaming resolver against the eager reference ---------------------
+
+ROWS = ("r1", "r2", "r3")
+FAMILIES = ("a", "b", "c")
+QUALIFIERS = ("x", "y")
+
+
+@st.composite
+def raw_cells(draw):
+    """Raw cells over a few columns, 1-5 versions each.  Timestamps come
+    from a range narrower than the version count and values from two
+    choices, so timestamp ties, put/tombstone ties and exact duplicates
+    (what a reader sees while a flush publishes) all occur; the list comes
+    back in a drawn order."""
+    columns = draw(st.lists(
+        st.tuples(st.sampled_from(ROWS), st.sampled_from(FAMILIES),
+                  st.sampled_from(QUALIFIERS)),
+        unique=True, max_size=8,
+    ))
+    version = st.tuples(st.sampled_from((b"old", b"new")),
+                        st.integers(min_value=1, max_value=4), st.booleans())
+    cells = [
+        Cell(*column, *fields)
+        for column in columns
+        for fields in draw(st.lists(version, min_size=1, max_size=5))
+    ]
+    cells += draw(st.lists(st.sampled_from(cells), max_size=3)) if cells else []
+    return draw(st.permutations(cells))
+
+
+family_filters = st.none() | st.sets(st.sampled_from(FAMILIES))
+
+
+class TestStreamingResolver:
+    @settings(max_examples=300)
+    @given(raw_cells(), family_filters)
+    def test_iter_visible_matches_resolve_versions(self, cells, families):
+        expected = [
+            c for c in resolve_versions(cells)
+            if families is None or c.family in families
+        ]
+        ordered = sorted(cells, key=Cell.sort_key)
+        assert list(iter_visible(ordered, families)) == expected
+
+    @settings(max_examples=200)
+    @given(raw_cells(), family_filters, st.sets(st.integers(0, 25)))
+    def test_region_scan_matches_point_reads(self, cells, families, flush_after):
+        # compaction_trigger=3: the drawn flush points also exercise minor
+        # compactions, and scans merge memtable + up to two segments
+        region = Region(None, None, SimCluster(EC2_PROFILE).workers[0],
+                        compaction_trigger=3)
+        for index, c in enumerate(cells):
+            region.apply(c)
+            if index in flush_after:
+                region.flush()
+        reads = [region.read_row(row, families) for row in ROWS]
+        assert list(region.scan_rows(families=families)) == [
+            row for row in reads if not row.empty
+        ]

@@ -1,8 +1,12 @@
 """The MapReduce engine: phases, combiners, locality, accounting."""
 
+import json
+import os
+from pathlib import Path
+
 import pytest
 
-from repro.cluster.costmodel import EC2_PROFILE
+from repro.cluster.costmodel import EC2_PROFILE, ec2_profile_with_nodes
 from repro.errors import JobConfigurationError
 from repro.mapreduce.job import (
     CollectOutput,
@@ -180,3 +184,153 @@ class TestAccounting:
     def test_reducer_memory_tracked(self, platform):
         platform.runner.run(wordcount_job())
         assert platform.metrics.counters.get("reducer_peak_bytes", 0) > 0
+
+
+# -- byte accounting, pinned ----------------------------------------------------
+#
+# Every byte a wave charges (shuffle, reducer footprint, sink writes) and
+# the simulated time that follows from it, for a fixed job matrix.  The
+# golden was captured on the last commit that sized a record at every
+# stage it passed through, and must survive any change to *where* a
+# record is sized.  Regenerate (only for an intentional cost change)::
+#
+#     GOLDEN_MR_BYTES_OUT=tests/unit/golden_mr_bytes.json \
+#         python -m pytest tests/unit/test_mapreduce.py -k golden
+
+GOLDEN_MR_BYTES = Path(__file__).parent / "golden_mr_bytes.json"
+
+_DOCS = {
+    "doc0": "the quick brown fox",
+    "doc1": "the lazy dog naps",
+    "doc2": "a café for the naïve fox",
+    "doc3": "the quick dog",
+    "doc4": "größe matters, the fox said",
+    "doc5": "dog dog dog",
+    "doc6": "nothing the same twice",
+    "doc7": "the end",
+}
+
+
+def _bytes_platform(workers: int) -> Platform:
+    platform = Platform(ec2_profile_with_nodes(workers))
+    platform.hdfs.block_bytes = 128  # outputs span several blocks
+    htable = platform.store.create_table(
+        "docs", {"d"}, split_keys=["doc2", "doc4", "doc6"]
+    )
+    for key, text in _DOCS.items():
+        htable.put(Put(key).add("d", "text", text.encode()))
+    htable.flush()
+    platform.store.create_table("copies", {"d"})
+    platform.reset_metrics()
+    return platform
+
+
+def _stats_map(key, row, task):
+    """Pairs of mixed shape: str / non-ASCII keys; int, float, bytes,
+    None, tuple, list and dict inside the values."""
+    for position, word in enumerate(row.value("d", "text").decode().split()):
+        task.emit(word, (1, len(word) / 4, key.encode(), [position, None]))
+
+
+def _stats_combine(word, values, task):
+    task.emit(word, (sum(v[0] for v in values), sum(v[1] for v in values),
+                     b"".join(v[2] for v in values), [p for v in values for p in v[3]]))
+
+
+def _stats_reduce(word, values, task):
+    task.emit(word, {"n": sum(v[0] for v in values),
+                     "docs": sorted({v[2] for v in values})})
+
+
+def _copy_map(key, row, task):
+    task.emit(key, Put(key.upper()).add("d", "copy", row.value("d", "text")))
+
+
+def _bytes_jobs() -> "dict[str, Job]":
+    source = TableInput.of("docs", {"d"})
+
+    def reduce_job(name, **kwargs):
+        return Job(name, source, _stats_map, _stats_reduce, num_reducers=3, **kwargs)
+
+    return {
+        "reduce_collect": reduce_job("plain"),
+        "reduce_combiner_collect": reduce_job("combined", combiner_fn=_stats_combine),
+        "reduce_hdfs": reduce_job("to-hdfs", output=HDFSOutput("reduced")),
+        "map_hdfs": Job("m-hdfs", source, _stats_map, output=HDFSOutput("mapped")),
+        "map_table": Job("m-table", source, _copy_map, output=TableOutput("copies")),
+        "map_table_skip_wal": Job(
+            "m-table-nowal", source, _copy_map,
+            output=TableOutput("copies", skip_wal=True),
+        ),
+        "map_collect": Job("m-collect", source, _stats_map),
+    }
+
+
+def _observe_bytes() -> "dict[str, dict]":
+    observed = {}
+    for workers in (1, 4):
+        for label, job in _bytes_jobs().items():
+            platform = _bytes_platform(workers)  # fresh: cells are independent
+            result = platform.runner.run(job)
+            observed[f"{workers}w/{label}"] = {
+                "map_tasks": result.map_tasks,
+                "reduce_tasks": result.reduce_tasks,
+                "collected": len(result.collected),
+                "shuffle_bytes": result.shuffle_bytes,
+                "reducer_peak_bytes": platform.metrics.counters.get(
+                    "reducer_peak_bytes", 0
+                ),
+                "network_bytes": platform.metrics.network_bytes,
+                "sim_time_s": result.sim_time_s,
+                "hdfs_file_sizes": {
+                    path: platform.hdfs.file_size(path)
+                    for path in platform.hdfs.list_files()
+                },
+            }
+    return observed
+
+
+def test_wave_bytes_match_the_golden():
+    observed = json.loads(json.dumps(_observe_bytes()))
+    # the matrix must exercise both sides of the local/remote split
+    assert observed["1w/reduce_collect"]["shuffle_bytes"] == 0
+    assert observed["4w/reduce_collect"]["shuffle_bytes"] > 0
+
+    out = os.environ.get("GOLDEN_MR_BYTES_OUT")
+    if out:
+        with open(out, "w") as fh:
+            fh.write("{\n" + ",\n".join(
+                f"{json.dumps(key)}: {json.dumps(observed[key])}"
+                for key in sorted(observed)
+            ) + "\n}\n")
+        pytest.skip(f"golden regenerated at {out}")
+
+    with open(GOLDEN_MR_BYTES) as fh:
+        golden = json.load(fh)
+    assert observed == golden
+
+
+def test_a_record_is_sized_once_per_stage(monkeypatch):
+    """Work count for one reduce job into HDFS: the shuffle sizes each map
+    output pair once, the reducers size a key at most once (only to take
+    its repeats back out), the sink sizes each output record once."""
+    from repro.mapreduce import hdfs, runtime
+
+    sizeof = runtime.sizeof
+    calls = []
+
+    def counting_sizeof(value):
+        calls.append(value)
+        return sizeof(value)
+
+    monkeypatch.setattr(runtime, "sizeof", counting_sizeof)
+    monkeypatch.setattr(hdfs, "sizeof", counting_sizeof)
+
+    platform = _bytes_platform(4)
+    platform.runner.run(_bytes_jobs()["reduce_hdfs"])
+
+    map_pairs = sum(len(text.split()) for text in _DOCS.values())
+    reduce_keys = {word for text in _DOCS.values() for word in text.split()}
+    sink_records = len(list(platform.hdfs.read_file("reduced")))
+    assert sink_records == len(reduce_keys)
+    assert map_pairs <= len(calls) <= map_pairs + len(reduce_keys) + sink_records

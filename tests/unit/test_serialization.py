@@ -1,5 +1,8 @@
 """Byte encodings and size accounting."""
 
+import enum
+from collections import OrderedDict, namedtuple
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +16,8 @@ from repro.common.serialization import (
     encode_str,
     sizeof,
 )
+from repro.store.cell import Cell, RowResult
+from repro.store.client import Put
 
 
 class TestRoundTrips:
@@ -86,3 +91,96 @@ class TestSizeof:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             sizeof(object())
+
+
+def ladder_sizeof(value):
+    """The ``isinstance`` ladder ``sizeof`` was before it dispatched on
+    ``type(value)``, kept verbatim as the reference."""
+    if value is None:
+        return 1
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, bytes):
+        return len(value)
+    if isinstance(value, str):
+        return len(value.encode("utf-8"))
+    if isinstance(value, int):
+        return max(1, (value.bit_length() + 7) // 8)
+    if isinstance(value, float):
+        return 8
+    if isinstance(value, (tuple, list)):
+        return 2 + sum(ladder_sizeof(v) for v in value)
+    if isinstance(value, dict):
+        return 2 + sum(ladder_sizeof(k) + ladder_sizeof(v) for k, v in value.items())
+    payload_size = getattr(value, "serialized_size", None)
+    if callable(payload_size):
+        return payload_size()
+    raise TypeError(f"cannot compute serialized size of {type(value).__name__}")
+
+
+leaves = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=12) | st.binary(max_size=12)  # text: any code point
+)
+hashable_leaves = (
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.binary(max_size=6)
+)
+nested = st.recursive(
+    leaves,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(hashable_leaves, inner, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    WIDE = 70_000
+
+
+class Tagged(str):
+    pass
+
+
+Point = namedtuple("Point", "x label")
+
+
+class TestSizeofDispatch:
+    """Exact-type dispatch must size everything as the ladder did."""
+
+    @given(nested)
+    def test_equals_the_isinstance_ladder(self, value):
+        assert sizeof(value) == ladder_sizeof(value)
+
+    def test_bool_is_not_sized_as_int(self):
+        assert sizeof(True) == sizeof(False) == 1
+        assert sizeof(1) == 1 and sizeof(256) == 2
+        assert sizeof([True, 256]) == 2 + 1 + 2
+
+    @pytest.mark.parametrize("value", [
+        Colour.RED, Colour.WIDE,                      # int subclass
+        Tagged("größe"),                              # str subclass, non-ASCII
+        Point(3, "é"),                                # tuple subclass
+        OrderedDict([("k", b"vv"), ("n", 1.5)]),      # dict subclass
+        [Point(1, "a"), {"c": Colour.WIDE}],          # ... nested in exact types
+    ])
+    def test_subclasses_take_their_base_types_size(self, value):
+        assert sizeof(value) == ladder_sizeof(value)
+
+    def test_store_objects_size_themselves(self):
+        put = Put("row").add("d", "q", b"value")
+        row = RowResult("row", [Cell("row", "d", "q", b"value", 7)])
+        assert sizeof(put) == put.serialized_size()
+        assert sizeof(row) == row.serialized_size()
+        assert sizeof(("k", put)) == 2 + 1 + put.serialized_size()
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, bytearray(b"ab"), 1j])
+    def test_unsupported_types_still_raise(self, value):
+        with pytest.raises(TypeError):
+            sizeof(value)
+        with pytest.raises(TypeError):
+            sizeof([value])
