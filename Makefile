@@ -36,7 +36,9 @@ bench-wallclock:
 	$(PYTHON) tools/bench_diff.py BENCH_read_path.json BENCH_read_path.candidate.json
 
 ## n-way (3/4-way) grid: simulated per-cell costs of the three multi-way
-## strategies, diffed against the committed BENCH_multiway.json (warn-only)
+## strategies; the suite fails on any difference from the committed
+## BENCH_multiway.json (simulated-only, so deterministic) and the diff
+## shows what moved
 bench-multiway:
 	BENCH_MULTIWAY_OUT=BENCH_multiway.candidate.json $(PYTHON) -m pytest benchmarks/test_multiway.py -q
 	$(PYTHON) tools/bench_diff.py BENCH_multiway.json BENCH_multiway.candidate.json

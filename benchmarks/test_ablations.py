@@ -161,7 +161,8 @@ class TestMultiWayScaling:
         """§3's n-way extension: a 3-way coordinator join stays far below
         full-scan cost (exercised end-to-end in the test suite; here we
         record its price next to the 2-way runs)."""
-        from repro.core.isl_multi import MultiRankJoinQuery, MultiWayISLRankJoin
+        from repro.core.isl import MultiWayISLRankJoin
+        from repro.query.spec import RankJoinQuery
         from repro.relational.binding import RelationBinding
         from repro.relational.multiway import naive_rank_join_multi
         from repro.relational.binding import load_relation
@@ -185,7 +186,7 @@ class TestMultiWayScaling:
                 RelationBinding(day, join_column="jv", score_column="sc")
                 for day in ("d1", "d2", "d3")
             ]
-            query = MultiRankJoinQuery.of(inputs, "sum", 10)
+            query = RankJoinQuery.of(inputs, "sum", 10)
             algorithm = MultiWayISLRankJoin(setup.platform)
             result = algorithm.execute(query)
             relations = [load_relation(setup.platform.store, b) for b in inputs]

@@ -10,16 +10,19 @@ Every cell measures all three n-way strategies — the ISL coordinator
 BFHM cascade — asserting 100% recall against the naive n-way ground truth
 and that ``algorithm="auto"`` plans and runs end to end.
 
-Run through ``make bench-multiway`` the per-cell *simulated* seconds are
-written to a candidate JSON (via ``BENCH_MULTIWAY_OUT``) and diffed
-warn-only against the committed ``BENCH_multiway.json`` baseline; the
-numbers are deterministic, so any drift is a real behavior change.
+The per-cell report (simulated seconds, network bytes, KV reads, and the
+planner's pick) is simulated-only, hence a pure function of seed and store
+state: the suite fails on *any* difference from the committed
+``BENCH_multiway.json``.  Run through ``make bench-multiway`` the report
+is also written to a candidate JSON (via ``BENCH_MULTIWAY_OUT``) so
+``tools/bench_diff.py`` can show what moved.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +36,8 @@ MICRO_SCALE = 0.3
 SEED = 42
 KS = [1, 10, 25]
 ALGORITHMS = ["isl", "hrjn", "bfhm"]
+
+BASELINE_PATH = Path(__file__).parent.parent / "BENCH_multiway.json"
 
 _CACHE: dict = {}
 
@@ -122,22 +127,33 @@ class TestMultiwayGrid:
         for stage in ("s1 ", "s2 ", "s3 "):
             assert any(c.startswith(stage) for c in estimate.breakdown), stage
 
+    def test_report_matches_committed_baseline(self, multiway_setup):
+        """Exact match: the report is simulated-only (a change that moves
+        it must re-commit ``BENCH_multiway.json``)."""
+        with open(BASELINE_PATH) as fh:
+            assert _report(multiway_setup) == json.load(fh)
+
     def test_bench_multiway_report_written(self, multiway_setup):
         out_path = os.environ.get("BENCH_MULTIWAY_OUT")
         if not out_path:
             pytest.skip("BENCH_MULTIWAY_OUT not set; not writing a report")
-        workloads = {}
-        for arity, k, measured, plan in _grid(multiway_setup):
-            for name, result in measured.items():
-                workloads[f"{arity}way_k{k}_{name}"] = {
-                    "seconds": round(result.metrics.sim_time_s, 6),
-                    "network_bytes": result.metrics.network_bytes,
-                    "kv_reads": result.metrics.kv_reads,
-                }
-            workloads[f"{arity}way_k{k}_plan"] = {
-                "seconds": round(plan.best.time_s, 6),
-                "chosen": plan.chosen,
-            }
         with open(out_path, "w") as fh:
-            json.dump({"workloads": workloads}, fh, indent=1, sort_keys=True)
+            json.dump(_report(multiway_setup), fh, indent=1, sort_keys=True)
             fh.write("\n")
+
+
+def _report(setup) -> dict:
+    """The ``BENCH_multiway.json`` document for the measured grid."""
+    workloads = {}
+    for arity, k, measured, plan in _grid(setup):
+        for name, result in measured.items():
+            workloads[f"{arity}way_k{k}_{name}"] = {
+                "seconds": round(result.metrics.sim_time_s, 6),
+                "network_bytes": result.metrics.network_bytes,
+                "kv_reads": result.metrics.kv_reads,
+            }
+        workloads[f"{arity}way_k{k}_plan"] = {
+            "seconds": round(plan.best.time_s, 6),
+            "chosen": plan.chosen,
+        }
+    return {"workloads": workloads}

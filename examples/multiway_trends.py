@@ -18,7 +18,8 @@ import random
 
 from repro import LC_PROFILE, Platform, RelationBinding
 from repro.common.serialization import encode_float, encode_str
-from repro.core.isl_multi import MultiRankJoinQuery, MultiWayISLRankJoin
+from repro.core.isl import MultiWayISLRankJoin
+from repro.query.spec import RankJoinQuery
 from repro.relational.binding import load_relation
 from repro.relational.multiway import full_join_multi, naive_rank_join_multi
 from repro.store.client import Put
@@ -62,7 +63,7 @@ def load_week(platform: Platform) -> list[RelationBinding]:
 def main() -> None:
     platform = Platform(LC_PROFILE)
     bindings = load_week(platform)
-    query = MultiRankJoinQuery.of(bindings, "sum", k=5)
+    query = RankJoinQuery.of(bindings, "sum", k=5)
 
     algorithm = MultiWayISLRankJoin(platform, batch_rows=20)
     result = algorithm.execute(query)

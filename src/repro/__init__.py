@@ -37,8 +37,8 @@ from repro.common.types import JoinTuple, ScoredRow
 from repro.core import BFHMRankJoin, HRJNOperator, IJLMRRankJoin, ISLRankJoin
 from repro.core.bfhm import TerminationPolicy, WriteBackPolicy
 from repro.core.bfhm.multi import BFHMCascadeRankJoin
-from repro.core.hrjn_multi import MultiWayHRJN, MultiWayHRJNRankJoin
-from repro.core.isl_multi import MultiRankJoinQuery, MultiWayISLRankJoin
+from repro.core.hrjn import MultiWayHRJNRankJoin
+from repro.core.isl import MultiWayISLRankJoin
 from repro.platform import Platform
 from repro.query.engine import RankJoinEngine
 from repro.query.parser import parse_rank_join
@@ -69,9 +69,7 @@ __all__ = [
     "BFHMRankJoin",
     "BFHMCascadeRankJoin",
     "HRJNOperator",
-    "MultiWayHRJN",
     "MultiWayHRJNRankJoin",
-    "MultiRankJoinQuery",
     "MultiRankJoinResult",
     "MultiWayISLRankJoin",
     "IJLMRRankJoin",

@@ -1,37 +1,40 @@
 """The HRJN rank-join operator (Ilyas, Aref, Elmagarmid — VLDB 2003; §4.2.1).
 
-HRJN consumes two inputs sorted by descending score.  It hash-joins every
-newly retrieved tuple against the tuples already seen from the other input,
-keeps a top-k buffer, and maintains the threshold
+HRJN consumes inputs sorted by descending score.  Each newly retrieved
+tuple of input ``i`` joins against the Cartesian product of the tuples
+already seen with the same join value on every other input; the operator
+keeps a top-k buffer and maintains the threshold
 
-    S = max( f(s̄_L, ŝ_R), f(ŝ_L, s̄_R) )
+    S = max over i of  f(ŝ_1, …, s̄_i, …, ŝ_n)
 
 where ``ŝ`` is the first (largest) and ``s̄`` the latest (smallest) score
-seen per input.  No unseen join combination can beat ``S``, so the operator
-terminates when the current k-th result's score reaches it.
+seen per input — the best score any combination involving an unseen tuple
+could still reach.  The operator terminates when the current k-th
+result's score reaches it.  §3's multi-way extension is this same operator
+at arity n; the paper's two-way HRJN is arity 2.
 
 The operator is incremental by design: ISL drives it with batched scans of
-the ISL index, and it can equally run standalone over in-memory sorted
-lists (the centralized setting of the original paper).
+the ISL index, and :func:`hrjn_join` runs it standalone over in-memory
+sorted lists (the centralized setting of the original paper).
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
+from itertools import product
 
 from repro.common.functions import AggregateFunction
-from repro.common.types import JoinTuple, ScoredRow
+from repro.common.multiway import MultiJoinTuple
+from repro.common.types import ScoredRow
 from repro.errors import QueryError
 
 #: numeric slack when comparing scores against the threshold
 SCORE_EPSILON = 1e-12
 
-LEFT = 0
-RIGHT = 1
-
 
 @dataclass
-class _SideState:
+class _InputState:
     """Everything HRJN remembers about one input."""
 
     by_join_value: dict[str, list[ScoredRow]] = field(default_factory=dict)
@@ -53,50 +56,77 @@ class _SideState:
 
 
 class HRJNOperator:
-    """Incremental two-way HRJN with threshold-based termination."""
+    """Incremental n-way HRJN with threshold-based termination.
 
-    def __init__(self, function: AggregateFunction, k: int) -> None:
+    The buffer keeps the best ``2k + 8`` tuples produced so far (slack
+    beyond k so ties are not lost), in :meth:`MultiJoinTuple.sort_key`
+    order: each tuple is inserted in place and the tail trimmed, and a
+    tuple scoring below a full buffer's last entry is never built.
+    """
+
+    def __init__(self, arity: int, function: AggregateFunction, k: int) -> None:
+        if arity < 2:
+            raise QueryError(f"arity must be >= 2: {arity}")
         if k <= 0:
             raise QueryError(f"k must be positive: {k}")
+        self.arity = arity
         self.function = function
         self.k = k
-        self._sides = (_SideState(), _SideState())
-        self._results: list[JoinTuple] = []
+        self._capacity = 2 * k + 8
+        self._inputs = [_InputState() for _ in range(arity)]
+        self._results: list[MultiJoinTuple] = []
+        #: every input's top score, fixed once all inputs have one;
+        #: threshold() swaps one slot at a time to an input's latest score
+        self._tops: "list[float | None] | None" = None
 
     # -- feeding ------------------------------------------------------------
 
-    def add(self, side: int, row: ScoredRow) -> list[JoinTuple]:
-        """Feed one tuple from ``side``; returns join tuples it produced."""
-        if side not in (LEFT, RIGHT):
-            raise QueryError(f"side must be {LEFT} or {RIGHT}: {side}")
-        mine = self._sides[side]
-        other = self._sides[1 - side]
-        mine.observe(row)
+    def add(self, index: int, row: ScoredRow) -> int:
+        """Feed one tuple from input ``index``; returns how many join
+        combinations it completed."""
+        if not 0 <= index < self.arity:
+            raise QueryError(f"input index {index} out of range [0, {self.arity})")
+        inputs = self._inputs
+        inputs[index].observe(row)
 
-        produced: list[JoinTuple] = []
-        for match in other.by_join_value.get(row.join_value, ()):
-            left, right = (row, match) if side == LEFT else (match, row)
-            produced.append(
-                JoinTuple(
-                    left_key=left.row_key,
-                    right_key=right.row_key,
-                    join_value=row.join_value,
-                    score=self.function(left.score, right.score),
-                    left_score=left.score,
-                    right_score=right.score,
-                )
+        join_value = row.join_value
+        partners = []
+        for other_index, other in enumerate(inputs):
+            if other_index != index:
+                matches = other.by_join_value.get(join_value)
+                if not matches:
+                    return 0  # some input has no partner (yet)
+                partners.append(matches)
+
+        buffer = self._results
+        capacity = self._capacity
+        combine = self.function.combine
+        produced = 0
+        for combination in product(*partners):
+            produced += 1
+            rows = (*combination[:index], row, *combination[index:])
+            scores = tuple(r.score for r in rows)
+            score = combine(scores)
+            if len(buffer) >= capacity and score < buffer[-1].score:
+                continue  # would be trimmed straight away
+            insort(
+                buffer,
+                MultiJoinTuple(
+                    keys=tuple(r.row_key for r in rows),
+                    join_value=join_value,
+                    score=score,
+                    scores=scores,
+                ),
+                key=MultiJoinTuple.sort_key,
             )
-        if produced:
-            self._results.extend(produced)
-            self._results.sort(key=JoinTuple.sort_key)
-            # keep a small buffer beyond k so ties are not lost
-            del self._results[self.k * 2 + 8 :]
+            if len(buffer) > capacity:
+                buffer.pop()
         return produced
 
     # -- inspection -----------------------------------------------------------
 
     @property
-    def results(self) -> list[JoinTuple]:
+    def results(self) -> list[MultiJoinTuple]:
         """Current top results (sorted, possibly fewer than k)."""
         return self._results[: self.k]
 
@@ -106,70 +136,134 @@ class HRJNOperator:
         return self._results[self.k - 1].score
 
     def threshold(self) -> "float | None":
-        """Best score any unseen join combination could still reach, or
-        ``None`` until both inputs have produced at least one tuple."""
-        left, right = self._sides
-        if left.top_score is None or right.top_score is None:
-            return None
-        return max(
-            self.function(left.last_score, right.top_score),  # type: ignore[arg-type]
-            self.function(left.top_score, right.last_score),  # type: ignore[arg-type]
-        )
+        """S = max_i f(ŝ_1, …, s̄_i, …, ŝ_n), or ``None`` until every
+        input has produced at least one tuple."""
+        tops = self._tops
+        if tops is None:
+            if any(state.top_score is None for state in self._inputs):
+                return None
+            tops = self._tops = [state.top_score for state in self._inputs]
+        combine = self.function.combine
+        best = None
+        for i, state in enumerate(self._inputs):
+            tops[i] = state.last_score
+            candidate = combine(tops)  # type: ignore[arg-type]
+            tops[i] = state.top_score
+            if best is None or candidate > best:
+                best = candidate
+        return best
 
-    def terminated(self, exhausted: "tuple[bool, bool]" = (False, False)) -> bool:
-        """True once the k-th result provably cannot be displaced.
-
-        ``exhausted`` marks inputs with no tuples left; two exhausted
-        inputs always terminate (the full join has been seen).
-        """
-        if all(exhausted):
-            return True
+    def terminated(self) -> bool:
+        """True once the k-th result provably cannot be displaced (the
+        caller stops anyway once every input is exhausted)."""
         kth = self.kth_score()
         if kth is None:
             return False
         threshold = self.threshold()
         if threshold is None:
             return False
-        # an exhausted side can no longer lower its contribution, but the
-        # standard threshold is still a valid (if loose) upper bound
+        # an exhausted input can no longer lower its contribution, but the
+        # threshold is still a valid (if loose) upper bound
         return kth >= threshold - SCORE_EPSILON
 
-    def tuples_seen(self) -> tuple[int, int]:
-        return (self._sides[LEFT].tuples_seen, self._sides[RIGHT].tuples_seen)
+    def tuples_seen(self) -> tuple[int, ...]:
+        return tuple(state.tuples_seen for state in self._inputs)
 
 
 def hrjn_join(
-    left: "list[ScoredRow]",
-    right: "list[ScoredRow]",
+    relations: "list[list[ScoredRow]]",
     function: AggregateFunction,
     k: int,
-) -> tuple[list[JoinTuple], tuple[int, int]]:
-    """Run HRJN to completion over in-memory inputs (sorted internally).
+) -> tuple[list[MultiJoinTuple], tuple[int, ...]]:
+    """Run HRJN to completion over in-memory inputs (sorted internally),
+    pulling one tuple per input in round-robin order.
 
     Returns the top-k tuples and how many tuples each input contributed
     before termination (the depth metric).
     """
-    operator = HRJNOperator(function, k)
-    ordered = (
-        sorted(left, key=lambda r: (-r.score, r.row_key)),
-        sorted(right, key=lambda r: (-r.score, r.row_key)),
-    )
-    positions = [0, 0]
+    operator = HRJNOperator(len(relations), function, k)
+    ordered = [
+        sorted(relation, key=lambda r: (-r.score, r.row_key))
+        for relation in relations
+    ]
+    positions = [0] * len(relations)
 
-    def exhausted() -> tuple[bool, bool]:
-        return (
-            positions[LEFT] >= len(ordered[LEFT]),
-            positions[RIGHT] >= len(ordered[RIGHT]),
-        )
+    def exhausted(i: int) -> bool:
+        return positions[i] >= len(ordered[i])
 
-    side = LEFT
-    while not operator.terminated(exhausted()):
-        done = exhausted()
-        if all(done):
-            break
-        if done[side]:
-            side = 1 - side
-        operator.add(side, ordered[side][positions[side]])
-        positions[side] += 1
-        side = 1 - side
+    index = 0
+    while not all(map(exhausted, range(len(ordered)))) and not operator.terminated():
+        while exhausted(index):
+            index = (index + 1) % len(ordered)
+        operator.add(index, ordered[index][positions[index]])
+        positions[index] += 1
+        index = (index + 1) % len(ordered)
     return operator.results, operator.tuples_seen()
+
+
+class MultiWayHRJNRankJoin:
+    """Index-free n-way HRJN pipeline over metered base-table scans.
+
+    The coordinator streams every input relation once (batched scans, the
+    same charging as any other coordinator algorithm), sorts each side by
+    descending score in memory, then drives the HRJN operator with
+    round-robin pulls until the threshold fires.  No index is required,
+    which makes this the fallback strategy at any arity — the n-way
+    analogue of a client-side sort-merge baseline.
+    """
+
+    name = "HRJN-nway"
+
+    #: scanner row caching for the base-table streams
+    SCAN_CACHING = 200
+
+    def __init__(self, platform) -> None:
+        self.platform = platform
+
+    def prepare(self, query) -> list:
+        """Index-free: nothing to build."""
+        return []
+
+    def build_report(self, binding) -> None:
+        return None
+
+    def _load(self, binding) -> list[ScoredRow]:
+        from repro.relational.binding import row_to_scored
+        from repro.store.client import Scan
+
+        htable = self.platform.store.table(binding.table)
+        rows: list[ScoredRow] = []
+        scan = Scan(families={binding.family}, caching=self.SCAN_CACHING)
+        for row in htable.scan(scan):
+            try:
+                rows.append(row_to_scored(binding, row))
+            except QueryError:
+                continue  # rows lacking join/score columns don't join
+        return rows
+
+    def execute(self, query):
+        from repro.query.results import MultiRankJoinResult
+
+        before = self.platform.metrics.snapshot()
+        relations = [self._load(binding) for binding in query.inputs]
+        # coordinator-side sort costs CPU proportional to the rows moved
+        model = self.platform.ctx.cost_model
+        total_rows = sum(len(relation) for relation in relations)
+        self.platform.metrics.advance_time(model.cpu_time(total_rows))
+
+        # hrjn_join sorts each input and runs the same round-robin /
+        # termination loop the in-memory reference uses — one
+        # implementation, two callers
+        tuples, seen = hrjn_join(relations, query.function, query.k)
+
+        after = self.platform.metrics.snapshot()
+        return MultiRankJoinResult(
+            algorithm=self.name,
+            k=query.k,
+            tuples=tuples,
+            metrics=after - before,
+            details={
+                "rows_scanned": float(total_rows),
+                **{f"tuples_seen_{i}": count for i, count in enumerate(seen)},
+            },
+        )

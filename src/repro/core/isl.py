@@ -6,10 +6,12 @@ the negated score (HBase scans only ascend — the §4.2.2 "kink"), and hold
 job (Alg. 3), one column family per relation in a shared index table.
 
 Query processing (Alg. 4) is coordinator-based: a single client scans the
-two index families alternately, in batches of a configurable size (HBase
+index families round-robin, in batches of a configurable size (HBase
 scanner caching), feeding tuples into the HRJN operator until its threshold
 test fires.  Batching trades bandwidth/dollars for latency: bigger batches
-amortize RPC latency but may overshoot the termination point.
+amortize RPC latency but may overshoot the termination point.  The same
+index, operator and drains serve any arity (§3's multi-way extension);
+:class:`MultiWayISLRankJoin` only reports n-way result tuples.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from repro.common.serialization import (
     decode_str,
     encode_score_key,
 )
+from repro.common.multiway import MultiJoinTuple
 from repro.common.types import JoinTuple, ScoredRow
 from repro.core.base import IndexBuildReport, RankJoinAlgorithm, _ExecutionDetails
-from repro.core.hrjn import LEFT, RIGHT, HRJNOperator
+from repro.core.hrjn import HRJNOperator
 from repro.core.indexes import (
     ISL_TABLE,
     ensure_index_table,
@@ -34,6 +37,7 @@ from repro.core.indexes import (
 )
 from repro.mapreduce.job import Job, TableInput, TableOutput, TaskContext
 from repro.platform import Platform
+from repro.query.results import MultiRankJoinResult
 from repro.query.spec import RankJoinQuery
 from repro.relational.binding import RelationBinding, load_relation
 from repro.store.cell import RowResult
@@ -88,12 +92,14 @@ class _SideCursor:
                 break
             rows_taken += 1
             self._last_row_key = row.row
+            # every entry of an index row shares the row's score
+            score = decode_score_key(row.row)
             for cell in row.family_cells(self._signature):
                 batch.append(
                     ScoredRow(
                         row_key=cell.qualifier,
                         join_value=decode_str(cell.value),
-                        score=_score_of_key(row.row),
+                        score=score,
                     )
                 )
         return batch
@@ -109,10 +115,6 @@ class _SideCursor:
         else:
             region = self._table.region_for(self._last_row_key)
         return topology.server_for(region)
-
-
-def _score_of_key(key: str) -> float:
-    return decode_score_key(key)
 
 
 class ISLRankJoin(RankJoinAlgorithm):
@@ -179,7 +181,8 @@ class ISLRankJoin(RankJoinAlgorithm):
                 for cell in row
             )
 
-        return self._metered_build(self.name, signature, build)
+        # one index for every arity: n-way builds report as ISL too
+        return self._metered_build(ISLRankJoin.name, signature, build)
 
     # -- query processing (Algorithm 4) -----------------------------------------
 
@@ -190,123 +193,122 @@ class ISLRankJoin(RankJoinAlgorithm):
         return max(MIN_BATCH_ROWS, int(relation_rows * self.batch_fraction))
 
     def _run(self, query: RankJoinQuery, details: _ExecutionDetails) -> list[JoinTuple]:
+        operator, depth = self._drain(query)
+        details.values.update(depth)
+        return [_as_join_tuple(t) for t in operator.results]
+
+    def _drain(self, query: RankJoinQuery) -> "tuple[HRJNOperator, dict[str, float]]":
+        """Run Algorithm 4 at the query's arity; returns the operator and
+        the scan-depth details (``batches``, ``scatter_rounds``,
+        ``tuples_seen_<i>``)."""
+        operator = HRJNOperator(query.arity, query.function, query.k)
+        cursors = [
+            _SideCursor(
+                self.platform, binding.signature,
+                self._batch_rows_for(binding.signature),
+            )
+            for binding in query.inputs
+        ]
         if self.platform.ctx.topology.parallel:
-            return self._run_scatter(query, details)
-        operator = HRJNOperator(query.function, query.k)
-        cursors = {
-            LEFT: _SideCursor(
-                self.platform, query.left.signature,
-                self._batch_rows_for(query.left.signature),
-            ),
-            RIGHT: _SideCursor(
-                self.platform, query.right.signature,
-                self._batch_rows_for(query.right.signature),
-            ),
+            batches, rounds = self._drain_scatter(operator, cursors)
+        else:
+            batches, rounds = self._drain_serial(operator, cursors), 0
+        seen = operator.tuples_seen()
+        return operator, {
+            "batches": batches,
+            "scatter_rounds": rounds,
+            **{f"tuples_seen_{i}": count for i, count in enumerate(seen)},
         }
 
-        side = LEFT
+    @staticmethod
+    def _drain_serial(operator: HRJNOperator, cursors: "list[_SideCursor]") -> int:
+        """One server: strict round-robin over the index families, one
+        batch at a time; returns the number of batches fetched."""
+        arity = len(cursors)
+        index = 0
         batches = 0
-        while True:
-            exhausted = (cursors[LEFT].exhausted, cursors[RIGHT].exhausted)
-            if operator.terminated(exhausted):
-                break
-            if all(exhausted):
-                break
-            if cursors[side].exhausted:
-                side = 1 - side
-            batch = cursors[side].next_batch()
+        while not _drained(operator, cursors):
+            while cursors[index].exhausted:
+                index = (index + 1) % arity
             batches += 1
-            done = False
-            for index, row in enumerate(batch):
-                operator.add(side, row)
-                # the cursor may already report exhaustion while rows of
-                # this batch are still unprocessed; a side only counts as
-                # exhausted once its final batch is fully consumed
-                drained = index == len(batch) - 1
-                exhausted = (
-                    cursors[LEFT].exhausted and (side != LEFT or drained),
-                    cursors[RIGHT].exhausted and (side != RIGHT or drained),
-                )
-                if operator.terminated(exhausted):
-                    done = True
-                    break
-            if done:
-                break
-            side = 1 - side
+            for row in cursors[index].next_batch():
+                operator.add(index, row)
+                if operator.terminated():
+                    return batches
+            index = (index + 1) % arity
+        return batches
 
-        seen = operator.tuples_seen()
-        details.set("batches", batches)
-        details.set("tuples_seen_left", seen[LEFT])
-        details.set("tuples_seen_right", seen[RIGHT])
-        return operator.results
-
-    def _run_scatter(
-        self, query: RankJoinQuery, details: _ExecutionDetails
-    ) -> list[JoinTuple]:
-        """Algorithm 4 on a multi-server topology: instead of strictly
-        alternating sides, each round fetches the next batch of *every*
-        non-exhausted side as one scatter/gather round — when the two
-        cursors sit on regions of different servers, the fetches overlap
-        and the round costs the slower of the two, not the sum.  Tuples
-        still feed the HRJN operator in side order (LEFT then RIGHT), so
-        results are identical; the round may overfetch one batch of the
-        other side compared to serial alternation (the classic fan-out
-        bandwidth-for-latency trade, same as §4.2.3's batching knob).
-        """
+    def _drain_scatter(
+        self, operator: HRJNOperator, cursors: "list[_SideCursor]"
+    ) -> "tuple[int, int]":
+        """Several servers: each round fetches the next batch of *every*
+        non-exhausted input as one scatter/gather round — cursors on
+        regions of different servers overlap, so the round costs the
+        slowest server's queue, not the sum.  Tuples still feed the
+        operator in input order, so results are identical; a round may
+        overfetch a batch of some input compared to round-robin (the
+        fan-out bandwidth-for-latency trade, same as §4.2.3's batching
+        knob).  Returns (batches fetched, rounds)."""
         from repro.cluster.executor import ScatterTask, scatter_gather
 
         ctx = self.platform.ctx
         topology = ctx.topology
-        operator = HRJNOperator(query.function, query.k)
-        cursors = {
-            LEFT: _SideCursor(
-                self.platform, query.left.signature,
-                self._batch_rows_for(query.left.signature),
-            ),
-            RIGHT: _SideCursor(
-                self.platform, query.right.signature,
-                self._batch_rows_for(query.right.signature),
-            ),
-        }
-
         batches = 0
         rounds = 0
-        done = False
-        while not done:
-            exhausted = (cursors[LEFT].exhausted, cursors[RIGHT].exhausted)
-            if operator.terminated(exhausted) or all(exhausted):
-                break
-            active = [side for side in (LEFT, RIGHT) if not cursors[side].exhausted]
+        while not _drained(operator, cursors):
+            active = [i for i, cursor in enumerate(cursors) if not cursor.exhausted]
             tasks = [
-                ScatterTask(
-                    cursors[side].server_hint(topology),
-                    cursors[side].next_batch,
-                )
-                for side in active
+                ScatterTask(cursors[i].server_hint(topology), cursors[i].next_batch)
+                for i in active
             ]
             fetched = scatter_gather(ctx, tasks, label="isl")
             rounds += 1
             batches += len(active)
-            # feed the operator in fixed side order; a side only counts as
-            # exhausted once every row of its final batch is consumed
-            remaining = {side: len(batch) for side, batch in zip(active, fetched)}
-            for side, batch in zip(active, fetched):
+            for i, batch in zip(active, fetched):
                 for row in batch:
-                    operator.add(side, row)
-                    remaining[side] -= 1
-                    exhausted = (
-                        cursors[LEFT].exhausted and remaining.get(LEFT, 0) == 0,
-                        cursors[RIGHT].exhausted and remaining.get(RIGHT, 0) == 0,
-                    )
-                    if operator.terminated(exhausted):
-                        done = True
-                        break
-                if done:
-                    break
+                    operator.add(i, row)
+                    if operator.terminated():
+                        return batches, rounds
+        return batches, rounds
 
-        seen = operator.tuples_seen()
-        details.set("batches", batches)
-        details.set("scatter_rounds", rounds)
-        details.set("tuples_seen_left", seen[LEFT])
-        details.set("tuples_seen_right", seen[RIGHT])
-        return operator.results
+
+def _drained(operator: HRJNOperator, cursors: "list[_SideCursor]") -> bool:
+    """Whether a drain is done before its next fetch: the threshold test
+    fired or every input is exhausted.  Inside a fetch only the threshold
+    test is checked — every input can be exhausted only once the fetch's
+    last row is consumed, and then this check ends the drain."""
+    return all(cursor.exhausted for cursor in cursors) or operator.terminated()
+
+
+def _as_join_tuple(result: MultiJoinTuple) -> JoinTuple:
+    """An arity-2 operator result as the two-way result tuple."""
+    left_key, right_key = result.keys
+    left_score, right_score = result.scores
+    return JoinTuple(
+        left_key=left_key,
+        right_key=right_key,
+        join_value=result.join_value,
+        score=result.score,
+        left_score=left_score,
+        right_score=right_score,
+    )
+
+
+class MultiWayISLRankJoin(ISLRankJoin):
+    """ISL over n relations (§3's extension): the same index, build and
+    drains, reporting n-way result tuples."""
+
+    name = "ISL-nway"
+
+    def execute(self, query: RankJoinQuery) -> MultiRankJoinResult:
+        self.prepare(query)
+        before = self.platform.metrics.snapshot()
+        operator, details = self._drain(query)
+        after = self.platform.metrics.snapshot()
+        return MultiRankJoinResult(
+            algorithm=self.name,
+            k=query.k,
+            tuples=operator.results,
+            metrics=after - before,
+            details=details,
+        )

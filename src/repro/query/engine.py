@@ -25,10 +25,9 @@ from repro.baselines.pig import PigRankJoin
 from repro.core.base import RankJoinAlgorithm
 from repro.core.bfhm.algorithm import BFHMRankJoin
 from repro.core.bfhm.multi import BFHMCascadeRankJoin
-from repro.core.hrjn_multi import MultiWayHRJNRankJoin
+from repro.core.hrjn import MultiWayHRJNRankJoin
 from repro.core.ijlmr import IJLMRRankJoin
-from repro.core.isl import ISLRankJoin
-from repro.core.isl_multi import MultiWayISLRankJoin
+from repro.core.isl import ISLRankJoin, MultiWayISLRankJoin
 from repro.errors import PlanningError
 from repro.platform import Platform
 from repro.query.parser import parse_rank_join

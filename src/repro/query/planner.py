@@ -860,8 +860,8 @@ class QueryPlanner:
         self, stats: TableStatistics, instance=None
     ) -> int:
         """One side's scanner batch under ``instance``'s tuning (default:
-        the two-way ISL algorithm; the n-way estimator passes the shared
-        builder so both paths price the same batch-sizing rule)."""
+        the two-way ISL algorithm; the n-way estimator passes its n-way
+        instance so both paths price the same batch-sizing rule)."""
         from repro.core.isl import MIN_BATCH_ROWS
 
         if instance is None:
@@ -1390,8 +1390,8 @@ class QueryPlanner:
             )
             for s in stats
         ]
-        builder = self.engine.multiway_algorithm("isl")._builder
-        batch = [self._isl_batch_rows(s, builder) for s in stats]
+        instance = self.engine.multiway_algorithm("isl")
+        batch = [self._isl_batch_rows(s, instance) for s in stats]
 
         consumed, batches = _simulate_hrjn_n(
             profiles, query.function, query.k, batch, sel
@@ -1443,7 +1443,7 @@ class QueryPlanner:
     ) -> CostEstimate:
         """Index-free n-way HRJN pipeline: stream every base relation to
         the coordinator (batched scans), sort, join in memory."""
-        from repro.core.hrjn_multi import MultiWayHRJNRankJoin
+        from repro.core.hrjn import MultiWayHRJNRankJoin
 
         ledger = self._ledger()
         caching = MultiWayHRJNRankJoin.SCAN_CACHING

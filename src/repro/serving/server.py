@@ -481,9 +481,6 @@ class QueryServer:
         """True when executing would first build an index (a write)."""
         probe = getattr(instance, "_index_exists", None)
         if probe is None:
-            builder = getattr(instance, "_builder", None)
-            probe = getattr(builder, "_index_exists", None)
-        if probe is None:
             return False  # index-free strategy (e.g. the n-way HRJN pipeline)
         try:
             return any(not probe(binding) for binding in query.inputs)

@@ -1,79 +1,107 @@
-"""The HRJN operator (§4.2.1)."""
+"""The HRJN operator (§4.2.1) — one operator at every arity."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.functions import ProductFunction, SumFunction
+from repro.common.multiway import top_k_multi
 from repro.common.types import ScoredRow
-from repro.core.hrjn import LEFT, RIGHT, HRJNOperator, hrjn_join
+from repro.core.hrjn import HRJNOperator, hrjn_join
+from repro.core.isl import ISLRankJoin, _as_join_tuple
 from repro.errors import QueryError
+from repro.relational.multiway import full_join_multi, naive_rank_join_multi
 from repro.relational.naive import naive_rank_join
 
+LEFT, RIGHT = 0, 1
 
-def rows(specs):
-    return [ScoredRow(f"r{i}", value, score) for i, (value, score) in enumerate(specs)]
+
+def rows(specs, prefix="r"):
+    return [
+        ScoredRow(f"{prefix}{i}", value, score)
+        for i, (value, score) in enumerate(specs)
+    ]
+
+
+def pair_operator(k):
+    return HRJNOperator(2, SumFunction(), k)
 
 
 class TestOperator:
     def test_produces_join_tuples(self):
-        operator = HRJNOperator(SumFunction(), 2)
+        operator = pair_operator(2)
         operator.add(LEFT, ScoredRow("l1", "a", 0.9))
-        produced = operator.add(RIGHT, ScoredRow("r1", "a", 0.8))
-        assert len(produced) == 1
-        assert produced[0].score == pytest.approx(1.7)
+        operator.add(RIGHT, ScoredRow("r1", "a", 0.8))
+        [result] = operator.results
+        assert result.keys == ("l1", "r1")
+        assert result.scores == (0.9, 0.8)
+        assert result.score == pytest.approx(1.7)
 
     def test_no_join_without_matching_value(self):
-        operator = HRJNOperator(SumFunction(), 2)
+        operator = pair_operator(2)
         operator.add(LEFT, ScoredRow("l1", "a", 0.9))
-        assert operator.add(RIGHT, ScoredRow("r1", "b", 0.8)) == []
+        operator.add(RIGHT, ScoredRow("r1", "b", 0.8))
+        assert operator.results == []
+        assert operator.kth_score() is None
 
     def test_threshold_formula(self):
-        operator = HRJNOperator(SumFunction(), 1)
+        operator = pair_operator(1)
         operator.add(LEFT, ScoredRow("l1", "a", 0.9))
         operator.add(LEFT, ScoredRow("l2", "b", 0.5))
         operator.add(RIGHT, ScoredRow("r1", "c", 0.8))
         operator.add(RIGHT, ScoredRow("r2", "d", 0.6))
         # S = max(f(s̄_L, ŝ_R), f(ŝ_L, s̄_R)) = max(0.5+0.8, 0.9+0.6)
         assert operator.threshold() == pytest.approx(1.5)
+        # the frontier keeps moving after the first threshold read
+        operator.add(RIGHT, ScoredRow("r3", "e", 0.1))
+        assert operator.threshold() == pytest.approx(max(0.5 + 0.8, 0.9 + 0.1))
 
     def test_threshold_none_until_both_sides_seen(self):
-        operator = HRJNOperator(SumFunction(), 1)
+        operator = pair_operator(1)
         assert operator.threshold() is None
         operator.add(LEFT, ScoredRow("l1", "a", 0.9))
         assert operator.threshold() is None
 
     def test_termination_at_threshold(self):
-        operator = HRJNOperator(SumFunction(), 1)
+        operator = pair_operator(1)
         operator.add(LEFT, ScoredRow("l1", "a", 0.9))
         operator.add(RIGHT, ScoredRow("r1", "a", 0.9))
         # result 1.8 >= threshold 1.8: nothing deeper can beat it
+        assert operator.kth_score() == pytest.approx(1.8)
+        assert operator.threshold() == pytest.approx(1.8)
         assert operator.terminated()
 
     def test_not_terminated_without_k_results(self):
-        operator = HRJNOperator(SumFunction(), 5)
+        operator = pair_operator(5)
         operator.add(LEFT, ScoredRow("l1", "a", 0.9))
         operator.add(RIGHT, ScoredRow("r1", "a", 0.9))
+        assert operator.kth_score() is None
         assert not operator.terminated()
 
     def test_exhausted_inputs_terminate(self):
-        operator = HRJNOperator(SumFunction(), 5)
-        assert operator.terminated(exhausted=(True, True))
+        # fewer than k results: only exhausting both inputs ends the join
+        left = rows([("a", 0.9), ("b", 0.4)])
+        right = rows([("a", 0.8), ("c", 0.7)], prefix="s")
+        results, seen = hrjn_join([left, right], SumFunction(), 5)
+        assert [t.keys for t in results] == [("r0", "s0")]
+        assert seen == (2, 2)
 
     def test_unsorted_input_rejected(self):
-        operator = HRJNOperator(SumFunction(), 1)
+        operator = pair_operator(1)
         operator.add(LEFT, ScoredRow("l1", "a", 0.5))
         with pytest.raises(QueryError):
             operator.add(LEFT, ScoredRow("l2", "a", 0.9))
 
     def test_invalid_arguments(self):
         with pytest.raises(QueryError):
-            HRJNOperator(SumFunction(), 0)
+            HRJNOperator(2, SumFunction(), 0)
         with pytest.raises(QueryError):
-            HRJNOperator(SumFunction(), 1).add(7, ScoredRow("x", "a", 0.5))
+            HRJNOperator(1, SumFunction(), 1)
+        with pytest.raises(QueryError):
+            pair_operator(1).add(7, ScoredRow("x", "a", 0.5))
 
     def test_tuples_seen(self):
-        operator = HRJNOperator(SumFunction(), 1)
+        operator = pair_operator(1)
         operator.add(LEFT, ScoredRow("l1", "a", 0.9))
         operator.add(RIGHT, ScoredRow("r1", "a", 0.9))
         assert operator.tuples_seen() == (1, 1)
@@ -82,8 +110,8 @@ class TestOperator:
 class TestHrjnJoin:
     def test_matches_naive_on_fixed_input(self):
         left = rows([("a", 0.9), ("b", 0.8), ("a", 0.3)])
-        right = rows([("a", 0.7), ("b", 0.95), ("c", 0.2)])
-        results, _ = hrjn_join(left, right, SumFunction(), 2)
+        right = rows([("a", 0.7), ("b", 0.95), ("c", 0.2)], prefix="s")
+        results, _ = hrjn_join([left, right], SumFunction(), 2)
         truth = naive_rank_join(left, right, SumFunction(), 2)
         assert [t.score for t in results] == [t.score for t in truth]
 
@@ -91,7 +119,7 @@ class TestHrjnJoin:
         # a perfect top pair lets HRJN stop after a handful of tuples
         left = rows([("hit", 1.0)] + [(f"l{i}", 0.5 - i / 1000) for i in range(200)])
         right = rows([("hit", 1.0)] + [(f"r{i}", 0.5 - i / 1000) for i in range(200)])
-        _, (seen_left, seen_right) = hrjn_join(left, right, SumFunction(), 1)
+        _, (seen_left, seen_right) = hrjn_join([left, right], SumFunction(), 1)
         assert seen_left + seen_right < 20
 
     relation = st.lists(
@@ -106,9 +134,113 @@ class TestHrjnJoin:
     def test_always_matches_naive(self, left_spec, right_spec, k, fn_name):
         function = SumFunction() if fn_name == "sum" else ProductFunction()
         left = rows(left_spec)
-        right = [ScoredRow(f"s{i}", v, s) for i, (v, s) in enumerate(right_spec)]
-        results, _ = hrjn_join(left, right, function, k)
+        right = rows(right_spec, prefix="s")
+        results, _ = hrjn_join([left, right], function, k)
         truth = naive_rank_join(left, right, function, k)
         assert [round(t.score, 9) for t in results] == [
             round(t.score, 9) for t in truth
         ]
+
+
+# ---------------------------------------------------------------------------
+# differential: the one operator vs the naive oracles, arities 2-4
+# ---------------------------------------------------------------------------
+
+#: scores on a 1/20 grid: plenty of exact ties, and two different sums
+#: never land within the operator's epsilon of each other
+GRID_SCORE = st.integers(min_value=0, max_value=20).map(lambda i: i / 20)
+#: "" is a legitimate join value; "zz" occurs on one input only when drawn
+JOIN_VALUE = st.sampled_from(["", "a", "b", "c", "zz"])
+
+
+@st.composite
+def relation_sets(draw, min_arity=2, max_arity=4):
+    arity = draw(st.integers(min_value=min_arity, max_value=max_arity))
+    relations = []
+    for side in range(arity):
+        specs = draw(st.lists(st.tuples(JOIN_VALUE, GRID_SCORE), max_size=9))
+        relations.append(rows(specs, prefix=f"i{side}_"))
+    return relations
+
+
+class _ListCursor:
+    """An in-memory stand-in for ISL's index cursor: fixed-size batches
+    of one score-sorted input."""
+
+    def __init__(self, relation, batch_rows):
+        self._rows = sorted(relation, key=lambda r: (-r.score, r.row_key))
+        self._batch_rows = batch_rows
+        self.exhausted = not self._rows
+
+    def next_batch(self):
+        batch = self._rows[: self._batch_rows]
+        del self._rows[: self._batch_rows]
+        self.exhausted = not self._rows
+        return batch
+
+
+class TestDifferential:
+    @given(relation_sets(), st.integers(min_value=1, max_value=90))
+    @settings(max_examples=150, deadline=None)
+    def test_hrjn_join_equals_naive_multi(self, relations, k):
+        """Arity 2-4, ties, duplicate and empty-string join values, empty
+        overlaps, and k beyond the join size: ``hrjn_join`` returns
+        the oracle's top-k tuple list exactly (above the k-th score, where
+        the order is determined; tuples tied at the k-th score may be any
+        of the tied join tuples)."""
+        function = SumFunction()
+        results, seen = hrjn_join(relations, function, k)
+        truth = naive_rank_join_multi(relations, function, k)
+        assert [t.score for t in results] == [t.score for t in truth]
+        if truth:
+            kth = truth[-1].score
+            assert [t for t in results if t.score > kth] == [
+                t for t in truth if t.score > kth
+            ]
+        full = set(full_join_multi(relations, function))
+        assert set(results) <= full
+        assert all(count <= len(r) for count, r in zip(seen, relations))
+
+    @given(relation_sets(max_arity=2), st.integers(min_value=1, max_value=30),
+           st.integers(min_value=1, max_value=4))
+    @settings(max_examples=100, deadline=None)
+    def test_batched_isl_drain_matches_naive_pairs(self, relations, k, batch_rows):
+        """Pairs fed in ISL-style batches through ISL's serial drain give
+        the two-way oracle's scores, as two-way result tuples."""
+        left, right = relations
+        operator = HRJNOperator(2, SumFunction(), k)
+        cursors = [_ListCursor(left, batch_rows), _ListCursor(right, batch_rows)]
+        ISLRankJoin._drain_serial(operator, cursors)
+        results = [_as_join_tuple(t) for t in operator.results]
+        truth = naive_rank_join(left, right, SumFunction(), k)
+        assert [t.score for t in results] == [t.score for t in truth]
+        assert all(
+            t.score == t.left_score + t.right_score for t in results
+        )
+
+    @given(relation_sets(), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=100, deadline=None)
+    def test_buffer_is_best_2k_plus_8_after_every_add(self, relations, k):
+        """After every add, the operator's buffer is exactly the best
+        2k+8 of everything produced so far, and add returns how many join
+        combinations the new tuple completed."""
+        function = SumFunction()
+        arity = len(relations)
+        ordered = [
+            sorted(relation, key=lambda r: (-r.score, r.row_key))
+            for relation in relations
+        ]
+        operator = HRJNOperator(arity, function, k)
+        prefixes = [[] for _ in range(arity)]
+        produced_total = 0
+        index = 0
+        while any(len(prefixes[i]) < len(ordered[i]) for i in range(arity)):
+            while len(prefixes[index]) == len(ordered[index]):
+                index = (index + 1) % arity
+            row = ordered[index][len(prefixes[index])]
+            prefixes[index].append(row)
+            produced_total += operator.add(index, row)
+            everything = full_join_multi(prefixes, function)
+            assert produced_total == len(everything)
+            assert operator._results == top_k_multi(everything, 2 * k + 8)
+            index = (index + 1) % arity

@@ -57,10 +57,10 @@ class TestQueryProcessing:
         k = 10
         q1_result = shared_setup.engine.execute(q1(k), algorithm="isl")
         q2_result = shared_setup.engine.execute(q2(k), algorithm="isl")
-        q1_depth = (q1_result.details["tuples_seen_left"]
-                    + q1_result.details["tuples_seen_right"])
-        q2_depth = (q2_result.details["tuples_seen_left"]
-                    + q2_result.details["tuples_seen_right"])
+        q1_depth = (q1_result.details["tuples_seen_0"]
+                    + q1_result.details["tuples_seen_1"])
+        q2_depth = (q2_result.details["tuples_seen_0"]
+                    + q2_result.details["tuples_seen_1"])
         assert q2_depth > q1_depth
 
     def test_deeper_k_costs_more(self, shared_setup):

@@ -17,12 +17,8 @@ from repro.common.multiway import MultiJoinTuple, combine_rows
 from repro.common.serialization import encode_float, encode_str
 from repro.common.types import ScoredRow
 from repro.core.bfhm.multi import BFHMCascadeRankJoin, stage_functions
-from repro.core.hrjn_multi import (
-    MultiWayHRJN,
-    MultiWayHRJNRankJoin,
-    hrjn_join_multi,
-)
-from repro.core.isl_multi import MultiRankJoinQuery, MultiWayISLRankJoin
+from repro.core.hrjn import HRJNOperator, MultiWayHRJNRankJoin, hrjn_join
+from repro.core.isl import MultiWayISLRankJoin
 from repro.errors import QueryError
 from repro.platform import Platform
 from repro.query.spec import RankJoinQuery
@@ -82,7 +78,7 @@ class TestNaiveMultiway:
 
 class TestMultiWayHRJN:
     def test_threshold_generalizes(self):
-        operator = MultiWayHRJN(3, SumFunction(), 1)
+        operator = HRJNOperator(3, SumFunction(), 1)
         operator.add(0, ScoredRow("a", "v", 0.9))
         operator.add(1, ScoredRow("b", "w", 0.8))
         operator.add(2, ScoredRow("c", "u", 0.7))
@@ -94,8 +90,8 @@ class TestMultiWayHRJN:
 
     def test_invalid_arity_and_index(self):
         with pytest.raises(QueryError):
-            MultiWayHRJN(1, SumFunction(), 1)
-        operator = MultiWayHRJN(2, SumFunction(), 1)
+            HRJNOperator(1, SumFunction(), 1)
+        operator = HRJNOperator(2, SumFunction(), 1)
         with pytest.raises(QueryError):
             operator.add(5, ScoredRow("a", "v", 0.5))
 
@@ -109,7 +105,7 @@ class TestMultiWayHRJN:
     @settings(max_examples=40, deadline=None)
     def test_three_way_matches_naive(self, s1, s2, s3, k):
         relations = [rows(s1, "x"), rows(s2, "y"), rows(s3, "z")]
-        results, _ = hrjn_join_multi(relations, SumFunction(), k)
+        results, _ = hrjn_join(relations, SumFunction(), k)
         truth = naive_rank_join_multi(relations, SumFunction(), k)
         assert [round(t.score, 9) for t in results] == [
             round(t.score, 9) for t in truth
@@ -121,7 +117,7 @@ class TestMultiWayHRJN:
                                    for i in range(100)], p)
             for p in ("x", "y", "z")
         ]
-        _, seen = hrjn_join_multi(relations, SumFunction(), 1)
+        _, seen = hrjn_join(relations, SumFunction(), 1)
         assert sum(seen) < 30
 
 
@@ -152,7 +148,7 @@ class TestMultiWayISL:
             RelationBinding(day, join_column="phrase", score_column="freq")
             for day in ("day1", "day2", "day3")
         ]
-        return setup, MultiRankJoinQuery.of(inputs, "sum", 5)
+        return setup, RankJoinQuery.of(inputs, "sum", 5)
 
     def test_three_way_isl_matches_naive(self, three_day_logs):
         setup, query = three_day_logs
@@ -187,12 +183,12 @@ class TestMultiWayISL:
 
     def test_query_validation(self):
         with pytest.raises(QueryError):
-            MultiRankJoinQuery.of(
+            RankJoinQuery.of(
                 [RelationBinding("only", join_column="j", score_column="s")],
                 "sum", 1,
             )
         with pytest.raises(QueryError):
-            MultiRankJoinQuery.of(
+            RankJoinQuery.of(
                 [RelationBinding("a", join_column="j", score_column="s"),
                  RelationBinding("b", join_column="j", score_column="s")],
                 "sum", 0,
@@ -285,7 +281,7 @@ class TestNWayCorrectness:
         function = SumFunction()
         for k in (1, 5):
             truth = naive_rank_join_multi(relations, function, k)
-            results, _ = hrjn_join_multi(relations, function, k)
+            results, _ = hrjn_join(relations, function, k)
             assert [round(t.score, 9) for t in results] == [
                 round(t.score, 9) for t in truth
             ], (arity, shape, k)
@@ -514,14 +510,18 @@ class TestGeneralizedThresholdBound:
             for relation in _make_relations(arity, "random")
         ]
         function = SumFunction()
-        operator = MultiWayHRJN(arity, function, k=3)
+        # k covers the full join, so the buffer keeps every tuple produced
+        full_size = len(full_join_multi(relations, function))
+        operator = HRJNOperator(arity, function, k=max(1, full_size))
         positions = [0] * arity
         log = []  # (threshold at time t, scores produced after t)
         side = 0
         while any(positions[s] < len(relations[s]) for s in range(arity)):
             while positions[side] >= len(relations[side]):
                 side = (side + 1) % arity
-            produced = operator.add(side, relations[side][positions[side]])
+            before = set(operator.results)
+            operator.add(side, relations[side][positions[side]])
+            produced = set(operator.results) - before
             positions[side] += 1
             threshold = operator.threshold()
             for entry in log:

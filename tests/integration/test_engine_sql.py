@@ -105,7 +105,7 @@ class TestNWaySQLPath:
         assert result.algorithm == "BFHM-cascade"
 
     def test_register_multiway_custom_instance(self, tiny_engine):
-        from repro.core.hrjn_multi import MultiWayHRJNRankJoin
+        from repro.core.hrjn import MultiWayHRJNRankJoin
         from repro.query.parser import parse_rank_join
 
         custom = MultiWayHRJNRankJoin(tiny_engine.platform)
