@@ -95,5 +95,8 @@ examples:
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/explain_plan.py
 	$(PYTHON) examples/multiway_explain.py
+	$(PYTHON) examples/search_engine_logs.py
+	$(PYTHON) examples/online_updates.py
+	$(PYTHON) examples/multiway_trends.py
 
 all: test lint

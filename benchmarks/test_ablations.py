@@ -164,7 +164,7 @@ class TestMultiWayScaling:
         from repro.core.isl import MultiWayISLRankJoin
         from repro.query.spec import RankJoinQuery
         from repro.relational.binding import RelationBinding
-        from repro.relational.multiway import naive_rank_join_multi
+        from repro.relational.naive import naive_rank_join
         from repro.relational.binding import load_relation
         from repro.common.serialization import encode_float, encode_str
         from repro.store.client import Put
@@ -190,7 +190,7 @@ class TestMultiWayScaling:
             algorithm = MultiWayISLRankJoin(setup.platform)
             result = algorithm.execute(query)
             relations = [load_relation(setup.platform.store, b) for b in inputs]
-            truth = naive_rank_join_multi(relations, query.function, 10)
+            truth = naive_rank_join(relations, query.function, 10)
             return result, result.recall_against(truth)
 
         result, recall = benchmark.pedantic(measure, rounds=1, iterations=1)

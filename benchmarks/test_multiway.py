@@ -30,7 +30,7 @@ from repro.bench.harness import build_setup
 from repro.cluster.costmodel import EC2_PROFILE
 from repro.query.spec import RankJoinQuery
 from repro.relational.binding import RelationBinding, load_relation
-from repro.relational.multiway import naive_rank_join_multi
+from repro.relational.naive import naive_rank_join
 
 MICRO_SCALE = 0.3
 SEED = 42
@@ -78,7 +78,7 @@ def _grid(setup):
         ]
         for k in KS:
             query = RankJoinQuery.of(bindings, "sum", k)
-            truth = naive_rank_join_multi(relations, query.function, k)
+            truth = naive_rank_join(relations, query.function, k)
             measured = {}
             for name in ALGORITHMS:
                 result = setup.engine.execute(query, algorithm=name)

@@ -21,7 +21,8 @@ from repro.common.serialization import encode_float, encode_str
 from repro.core.isl import MultiWayISLRankJoin
 from repro.query.spec import RankJoinQuery
 from repro.relational.binding import load_relation
-from repro.relational.multiway import full_join_multi, naive_rank_join_multi
+from repro.relational.multiway import full_join_multi
+from repro.relational.naive import naive_rank_join
 from repro.store.client import Put
 
 DAYS = ["mon", "tue", "wed", "thu", "fri"]
@@ -69,7 +70,7 @@ def main() -> None:
     result = algorithm.execute(query)
 
     relations = [load_relation(platform.store, b) for b in bindings]
-    truth = naive_rank_join_multi(relations, query.function, query.k)
+    truth = naive_rank_join(relations, query.function, query.k)
     full_size = len(full_join_multi(relations, query.function))
     total_rows = sum(len(r) for r in relations)
 

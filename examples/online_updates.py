@@ -76,8 +76,7 @@ def main() -> None:
               f"inserts, -{refresh.delete_count} deletes")
 
         truth = naive_rank_join(
-            load_relation(platform.store, query.left),
-            load_relation(platform.store, query.right),
+            [load_relation(platform.store, b) for b in query.inputs],
             query.function, query.k,
         )
         for name in algorithms:

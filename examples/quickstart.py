@@ -45,7 +45,8 @@ def main() -> None:
     print("\ntop-5 join results (identical across algorithms):")
     result = engine.execute(query, algorithm="bfhm")
     for rank, t in enumerate(result.tuples, start=1):
-        print(f"  {rank}. part={t.left_key} lineitem={t.right_key} "
+        part_key, lineitem_key = t.keys
+        print(f"  {rank}. part={part_key} lineitem={lineitem_key} "
               f"score={t.score:.4f}")
 
     print("\nSQL path gives the same answer:")

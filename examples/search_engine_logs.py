@@ -90,9 +90,9 @@ def main() -> None:
           f"{result.metrics.network_bytes:,} bytes):")
     store = platform.store.backing("log_2014_03_01")
     for rank, t in enumerate(result.tuples, start=1):
-        phrase = store.read_row(t.left_key).value("d", "phrase").decode()
+        phrase = store.read_row(t.keys[0]).value("d", "phrase").decode()
         print(f"  {rank}. {phrase!r:28} combined popularity {t.score:.3f} "
-              f"({t.left_score:.3f} + {t.right_score:.3f})")
+              f"({t.scores[0]:.3f} + {t.scores[1]:.3f})")
 
     # contrast with the naive full-join cost through Hive
     hive = engine.execute(query, algorithm="hive")

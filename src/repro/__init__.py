@@ -32,7 +32,6 @@ from repro.common.functions import (
     SumFunction,
     WeightedSumFunction,
 )
-from repro.common.multiway import MultiJoinTuple
 from repro.common.types import JoinTuple, ScoredRow
 from repro.core import BFHMRankJoin, HRJNOperator, IJLMRRankJoin, ISLRankJoin
 from repro.core.bfhm import TerminationPolicy, WriteBackPolicy
@@ -43,7 +42,7 @@ from repro.platform import Platform
 from repro.query.engine import RankJoinEngine
 from repro.query.parser import parse_rank_join
 from repro.query.planner import CostEstimate, QueryPlan, QueryPlanner
-from repro.query.results import MultiRankJoinResult, RankJoinResult
+from repro.query.results import RankJoinResult
 from repro.query.spec import RankJoinQuery
 from repro.query.statistics import StatisticsCatalog, TableStatistics
 from repro.relational.binding import RelationBinding
@@ -64,13 +63,11 @@ __all__ = [
     "SumFunction",
     "WeightedSumFunction",
     "JoinTuple",
-    "MultiJoinTuple",
     "ScoredRow",
     "BFHMRankJoin",
     "BFHMCascadeRankJoin",
     "HRJNOperator",
     "MultiWayHRJNRankJoin",
-    "MultiRankJoinResult",
     "MultiWayISLRankJoin",
     "IJLMRRankJoin",
     "ISLRankJoin",

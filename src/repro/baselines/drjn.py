@@ -366,12 +366,10 @@ def _hash_join(
         for rrow in by_value.get(lrow.join_value, ()):
             results.append(
                 JoinTuple(
-                    left_key=lrow.row_key,
-                    right_key=rrow.row_key,
+                    keys=(lrow.row_key, rrow.row_key),
                     join_value=lrow.join_value,
                     score=function(lrow.score, rrow.score),
-                    left_score=lrow.score,
-                    right_score=rrow.score,
+                    scores=(lrow.score, rrow.score),
                 )
             )
     results.sort(key=JoinTuple.sort_key)

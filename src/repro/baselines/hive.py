@@ -124,12 +124,10 @@ class HiveRankJoin(RankJoinAlgorithm):
             left_key, right_key, join_value, lscore, rscore, _lcols, _rcols = payload
             results.append(
                 JoinTuple(
-                    left_key=left_key,
-                    right_key=right_key,
+                    keys=(left_key, right_key),
                     join_value=join_value,
                     score=-neg_score,
-                    left_score=lscore,
-                    right_score=rscore,
+                    scores=(lscore, rscore),
                 )
             )
             fetched_bytes += sizeof(record)

@@ -154,12 +154,10 @@ class PigRankJoin(RankJoinAlgorithm):
         result = self.platform.runner.run(job)
         return [
             JoinTuple(
-                left_key=payload[0],
-                right_key=payload[1],
+                keys=(payload[0], payload[1]),
                 join_value=payload[2],
                 score=payload[5],
-                left_score=payload[3],
-                right_score=payload[4],
+                scores=(payload[3], payload[4]),
             )
             for _, payload in result.collected
         ]

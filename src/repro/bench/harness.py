@@ -31,9 +31,10 @@ class ExperimentSetup:
     data: TPCHData
 
     def ground_truth(self, query: RankJoinQuery, k: int) -> list[JoinTuple]:
-        left = load_relation(self.platform.store, query.left)
-        right = load_relation(self.platform.store, query.right)
-        return naive_rank_join(left, right, query.function, k)
+        relations = [
+            load_relation(self.platform.store, binding) for binding in query.inputs
+        ]
+        return naive_rank_join(relations, query.function, k)
 
 
 @dataclass

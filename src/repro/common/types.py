@@ -6,15 +6,15 @@ domain works; we keep floats).  :class:`ScoredRow` captures exactly that
 triple plus an optional payload of extra attributes (the "useless to most
 queries" columns of §1 — they matter because baseline algorithms ship them).
 
-:class:`JoinTuple` is one tuple of a rank-join result: the pair of
-contributing row keys, the join value, the aggregate score, and the
-individual scores it was computed from.
+:class:`JoinTuple` is one tuple of a rank-join result at any arity: the
+contributing row keys (one per input, in input order), the join value, the
+aggregate score, and the individual scores it was computed from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,24 +48,19 @@ class JoinTuple:
     """One tuple of a top-k join result set.
 
     Ordered comparisons sort by aggregate ``score`` (then deterministically by
-    the row-key pair so result sets are reproducible across runs).
+    the row keys so result sets are reproducible across runs).
     """
 
-    left_key: str
-    right_key: str
+    keys: tuple[str, ...]
     join_value: str
     score: float
-    left_score: float
-    right_score: float
+    scores: tuple[float, ...]
 
-    def sort_key(self) -> tuple[float, str, str]:
+    def sort_key(self) -> tuple[float, tuple[str, ...]]:
         """Key for descending-score, ascending-rowkey deterministic order."""
-        return (-self.score, self.left_key, self.right_key)
-
-    def as_pair(self) -> tuple[str, str]:
-        return (self.left_key, self.right_key)
+        return (-self.score, self.keys)
 
 
-def top_k_sorted(tuples: list[JoinTuple], k: int) -> list[JoinTuple]:
+def top_k(tuples: "Iterable[JoinTuple]", k: int) -> list[JoinTuple]:
     """Return the top-``k`` join tuples in deterministic descending order."""
     return sorted(tuples, key=JoinTuple.sort_key)[:k]

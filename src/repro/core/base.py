@@ -12,7 +12,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 from repro.cluster.metrics import MetricsSnapshot
-from repro.common.types import JoinTuple
+from repro.common.types import JoinTuple, top_k
 from repro.platform import Platform
 from repro.query.results import RankJoinResult
 from repro.query.spec import RankJoinQuery
@@ -53,6 +53,8 @@ class RankJoinAlgorithm(ABC):
 
     #: short name used in reports and figures
     name: str = "abstract"
+    #: the largest arity the algorithm joins; ``None`` means any
+    max_arity: "int | None" = 2
 
     def __init__(self, platform: Platform) -> None:
         self.platform = platform
@@ -110,12 +112,12 @@ class RankJoinAlgorithm(ABC):
 
     def execute(self, query: RankJoinQuery) -> RankJoinResult:
         """Run the query, reporting only this execution's costs."""
-        if query.arity != 2:
+        if self.max_arity is not None and query.arity > self.max_arity:
             from repro.errors import QueryError
 
             raise QueryError(
-                f"{self.name} is a two-way algorithm; route arity-"
-                f"{query.arity} queries through the engine's multi-way "
+                f"{self.name} joins at most {self.max_arity} relations; route "
+                f"arity-{query.arity} queries through the engine's multi-way "
                 "dispatch (RankJoinEngine.execute) instead"
             )
         self.prepare(query)
@@ -123,11 +125,10 @@ class RankJoinAlgorithm(ABC):
         details = _ExecutionDetails()
         tuples = self._run(query, details)
         after = self.platform.metrics.snapshot()
-        tuples = sorted(tuples, key=JoinTuple.sort_key)[: query.k]
         return RankJoinResult(
             algorithm=self.name,
             k=query.k,
-            tuples=tuples,
+            tuples=top_k(tuples, query.k),
             metrics=after - before,
             details=dict(details.values),
         )

@@ -415,12 +415,10 @@ class BFHMRankJoin(RankJoinAlgorithm):
                     if key in out:
                         continue
                     out[key] = JoinTuple(
-                        left_key=left.row_key,
-                        right_key=right.row_key,
+                        keys=key,
                         join_value=left.join_value,
                         score=query.function(left.score, right.score),
-                        left_score=left.score,
-                        right_score=right.score,
+                        scores=(left.score, right.score),
                     )
 
 

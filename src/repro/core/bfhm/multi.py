@@ -34,16 +34,15 @@ from repro.common.functions import (
     SumFunction,
     WeightedSumFunction,
 )
-from repro.common.multiway import MultiJoinTuple
 from repro.common.serialization import encode_float, encode_str
 from repro.common.types import JoinTuple
+from repro.core.base import IndexBuildReport, RankJoinAlgorithm, _ExecutionDetails
 from repro.core.bfhm.algorithm import BFHMRankJoin
 from repro.core.bfhm.estimation import SCORE_EPSILON, TerminationPolicy
 from repro.core.bfhm.index import DEFAULT_FP_RATE, DEFAULT_NUM_BUCKETS
 from repro.core.bfhm.updates import WriteBackPolicy
 from repro.errors import QueryError
 from repro.platform import Platform
-from repro.query.results import MultiRankJoinResult
 from repro.query.spec import RankJoinQuery
 from repro.relational.binding import RelationBinding
 from repro.store.client import Put
@@ -147,10 +146,11 @@ class _StageOutput:
     record: CascadeStageRecord
 
 
-class BFHMCascadeRankJoin:
+class BFHMCascadeRankJoin(RankJoinAlgorithm):
     """N-way BFHM rank join via a left-deep binary cascade."""
 
     name = "BFHM-cascade"
+    max_arity = None
 
     #: process-wide counter making temp table names unique
     _temp_seq = 0
@@ -163,7 +163,7 @@ class BFHMCascadeRankJoin:
         policy: TerminationPolicy = TerminationPolicy.CONSERVATIVE,
         write_back: WriteBackPolicy = WriteBackPolicy.EAGER,
     ) -> None:
-        self.platform = platform
+        super().__init__(platform)
         self._binary = BFHMRankJoin(
             platform, num_buckets, fp_rate, policy=policy, write_back=write_back
         )
@@ -173,43 +173,36 @@ class BFHMCascadeRankJoin:
 
     # -- index lifecycle ----------------------------------------------------
 
-    def prepare(self, query: RankJoinQuery) -> list:
+    def prepare(self, query: RankJoinQuery) -> list[IndexBuildReport]:
         """Fix the deployment-common filter size over *all* base inputs,
         then build each base relation's BFHM."""
         self._binary.builder.plan_for(query.inputs)
-        reports = []
+        reports: list[IndexBuildReport] = []
         for index in range(len(query.inputs) - 1):
             reports.extend(self._binary.prepare(query.pairwise(index, index + 1)))
         return reports
 
-    def build_report(self, binding: RelationBinding):
+    def build_report(self, binding: RelationBinding) -> "IndexBuildReport | None":
         return self._binary.build_report(binding)
 
     # -- execution -----------------------------------------------------------
 
-    def execute(self, query: RankJoinQuery) -> MultiRankJoinResult:
-        self.prepare(query)
-        before = self.platform.metrics.snapshot()
+    def _run(self, query: RankJoinQuery, details: _ExecutionDetails) -> list[JoinTuple]:
         temp_tables: list[str] = []
         try:
-            tuples, details = self._run_cascade(query, temp_tables)
+            return self._run_cascade(query, details, temp_tables)
         finally:
             # temp tables and their index state must go even when a stage
             # raises — leaked intermediates would be visible to every later
             # query on the shared platform
             self._cleanup(temp_tables)
-        after = self.platform.metrics.snapshot()
-        return MultiRankJoinResult(
-            algorithm=self.name,
-            k=query.k,
-            tuples=tuples[: query.k],
-            metrics=after - before,
-            details=details,
-        )
 
     def _run_cascade(
-        self, query: RankJoinQuery, temp_tables: "list[str]"
-    ) -> "tuple[list[MultiJoinTuple], dict[str, float]]":
+        self,
+        query: RankJoinQuery,
+        details: _ExecutionDetails,
+        temp_tables: "list[str]",
+    ) -> list[JoinTuple]:
         arity = query.arity
         stages = stage_functions(query.function, arity)
         # every stage starts at the query's k; the repair loop grows
@@ -238,16 +231,15 @@ class BFHMCascadeRankJoin:
             for stage in range(min(violated), arity - 1):
                 outputs[stage] = None  # downstream stages must re-run
 
-        tuples = self._expand_final(query, outputs)
-        details: dict[str, float] = {"cascade_rounds": float(rounds)}
+        details.set("cascade_rounds", float(rounds))
         for record in self.last_stage_records:
             prefix = f"stage{record.stage}"
-            details[f"{prefix}_produced"] = float(record.produced)
+            details.set(f"{prefix}_produced", float(record.produced))
             for key in ("buckets_fetched", "reverse_rows_fetched",
                         "repair_rounds"):
                 if key in record.details:
-                    details[f"{prefix}_{key}"] = record.details[key]
-        return tuples, details
+                    details.set(f"{prefix}_{key}", record.details[key])
+        return self._expand_final(outputs)
 
     def _run_stages(
         self,
@@ -283,15 +275,15 @@ class BFHMCascadeRankJoin:
             expansion: "dict[str, tuple[tuple[str, ...], tuple[float, ...]]]" = {}
             rows: "list[tuple[str, str, float]]" = []
             for t in produced:
+                left, right = t.keys
                 if expansion_in is None:
-                    composed = _compose_key(_escape_key(t.left_key), t.right_key)
-                    keys = (t.left_key, t.right_key)
-                    scores = (t.left_score, t.right_score)
+                    composed = _compose_key(_escape_key(left), right)
+                    keys, scores = t.keys, t.scores
                 else:
-                    base_keys, base_scores = expansion_in[t.left_key]
-                    composed = _compose_key(t.left_key, t.right_key)
-                    keys = (*base_keys, t.right_key)
-                    scores = (*base_scores, t.right_score)
+                    base_keys, base_scores = expansion_in[left]
+                    composed = _compose_key(left, right)
+                    keys = (*base_keys, right)
+                    scores = (*base_scores, t.scores[1])
                 expansion[composed] = (keys, scores)
                 rows.append((composed, t.join_value, t.score))
 
@@ -427,9 +419,7 @@ class BFHMCascadeRankJoin:
 
     # -- finalization --------------------------------------------------------
 
-    def _expand_final(
-        self, query: RankJoinQuery, outputs: "list[_StageOutput | None]"
-    ) -> list[MultiJoinTuple]:
+    def _expand_final(self, outputs: "list[_StageOutput | None]") -> list[JoinTuple]:
         final = outputs[-1]
         assert final is not None
         single_stage = len(outputs) == 1
@@ -437,17 +427,19 @@ class BFHMCascadeRankJoin:
         for t in final.tuples:
             # the final stage's left key is either a raw base key (arity 2)
             # or an already-composed intermediate row key
-            left = _escape_key(t.left_key) if single_stage else t.left_key
-            keys, scores = final.expansion[_compose_key(left, t.right_key)]
+            left, right = t.keys
+            if single_stage:
+                left = _escape_key(left)
+            keys, scores = final.expansion[_compose_key(left, right)]
             tuples.append(
-                MultiJoinTuple(
+                JoinTuple(
                     keys=keys,
                     join_value=t.join_value,
                     score=t.score,
                     scores=scores,
                 )
             )
-        return sorted(tuples, key=MultiJoinTuple.sort_key)[: query.k]
+        return tuples
 
     def _cleanup(self, temp_tables: "list[str]") -> None:
         """Drop materialized intermediates and forget their index state.

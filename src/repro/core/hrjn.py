@@ -25,9 +25,12 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from repro.common.functions import AggregateFunction
-from repro.common.multiway import MultiJoinTuple
-from repro.common.types import ScoredRow
+from repro.common.types import JoinTuple, ScoredRow
+from repro.core.base import RankJoinAlgorithm, _ExecutionDetails
 from repro.errors import QueryError
+from repro.query.spec import RankJoinQuery
+from repro.relational.binding import RelationBinding, row_to_scored
+from repro.store.client import Scan
 
 #: numeric slack when comparing scores against the threshold
 SCORE_EPSILON = 1e-12
@@ -59,7 +62,7 @@ class HRJNOperator:
     """Incremental n-way HRJN with threshold-based termination.
 
     The buffer keeps the best ``2k + 8`` tuples produced so far (slack
-    beyond k so ties are not lost), in :meth:`MultiJoinTuple.sort_key`
+    beyond k so ties are not lost), in :meth:`JoinTuple.sort_key`
     order: each tuple is inserted in place and the tail trimmed, and a
     tuple scoring below a full buffer's last entry is never built.
     """
@@ -74,7 +77,7 @@ class HRJNOperator:
         self.k = k
         self._capacity = 2 * k + 8
         self._inputs = [_InputState() for _ in range(arity)]
-        self._results: list[MultiJoinTuple] = []
+        self._results: list[JoinTuple] = []
         #: every input's top score, fixed once all inputs have one;
         #: threshold() swaps one slot at a time to an input's latest score
         self._tops: "list[float | None] | None" = None
@@ -111,13 +114,13 @@ class HRJNOperator:
                 continue  # would be trimmed straight away
             insort(
                 buffer,
-                MultiJoinTuple(
+                JoinTuple(
                     keys=tuple(r.row_key for r in rows),
                     join_value=join_value,
                     score=score,
                     scores=scores,
                 ),
-                key=MultiJoinTuple.sort_key,
+                key=JoinTuple.sort_key,
             )
             if len(buffer) > capacity:
                 buffer.pop()
@@ -126,7 +129,7 @@ class HRJNOperator:
     # -- inspection -----------------------------------------------------------
 
     @property
-    def results(self) -> list[MultiJoinTuple]:
+    def results(self) -> list[JoinTuple]:
         """Current top results (sorted, possibly fewer than k)."""
         return self._results[: self.k]
 
@@ -174,7 +177,7 @@ def hrjn_join(
     relations: "list[list[ScoredRow]]",
     function: AggregateFunction,
     k: int,
-) -> tuple[list[MultiJoinTuple], tuple[int, ...]]:
+) -> tuple[list[JoinTuple], tuple[int, ...]]:
     """Run HRJN to completion over in-memory inputs (sorted internally),
     pulling one tuple per input in round-robin order.
 
@@ -201,7 +204,7 @@ def hrjn_join(
     return operator.results, operator.tuples_seen()
 
 
-class MultiWayHRJNRankJoin:
+class MultiWayHRJNRankJoin(RankJoinAlgorithm):
     """Index-free n-way HRJN pipeline over metered base-table scans.
 
     The coordinator streams every input relation once (batched scans, the
@@ -213,24 +216,12 @@ class MultiWayHRJNRankJoin:
     """
 
     name = "HRJN-nway"
+    max_arity = None
 
     #: scanner row caching for the base-table streams
     SCAN_CACHING = 200
 
-    def __init__(self, platform) -> None:
-        self.platform = platform
-
-    def prepare(self, query) -> list:
-        """Index-free: nothing to build."""
-        return []
-
-    def build_report(self, binding) -> None:
-        return None
-
-    def _load(self, binding) -> list[ScoredRow]:
-        from repro.relational.binding import row_to_scored
-        from repro.store.client import Scan
-
+    def _load(self, binding: RelationBinding) -> list[ScoredRow]:
         htable = self.platform.store.table(binding.table)
         rows: list[ScoredRow] = []
         scan = Scan(families={binding.family}, caching=self.SCAN_CACHING)
@@ -241,10 +232,7 @@ class MultiWayHRJNRankJoin:
                 continue  # rows lacking join/score columns don't join
         return rows
 
-    def execute(self, query):
-        from repro.query.results import MultiRankJoinResult
-
-        before = self.platform.metrics.snapshot()
+    def _run(self, query: RankJoinQuery, details: _ExecutionDetails) -> list[JoinTuple]:
         relations = [self._load(binding) for binding in query.inputs]
         # coordinator-side sort costs CPU proportional to the rows moved
         model = self.platform.ctx.cost_model
@@ -255,15 +243,7 @@ class MultiWayHRJNRankJoin:
         # termination loop the in-memory reference uses — one
         # implementation, two callers
         tuples, seen = hrjn_join(relations, query.function, query.k)
-
-        after = self.platform.metrics.snapshot()
-        return MultiRankJoinResult(
-            algorithm=self.name,
-            k=query.k,
-            tuples=tuples,
-            metrics=after - before,
-            details={
-                "rows_scanned": float(total_rows),
-                **{f"tuples_seen_{i}": count for i, count in enumerate(seen)},
-            },
-        )
+        details.set("rows_scanned", float(total_rows))
+        for i, count in enumerate(seen):
+            details.set(f"tuples_seen_{i}", count)
+        return tuples

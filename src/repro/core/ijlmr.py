@@ -118,12 +118,10 @@ class IJLMRRankJoin(RankJoinAlgorithm):
                     rscore = decode_float(rcell.value)
                     results.append(
                         JoinTuple(
-                            left_key=lcell.qualifier,
-                            right_key=rcell.qualifier,
+                            keys=(lcell.qualifier, rcell.qualifier),
                             join_value=join_value,
                             score=function(lscore, rscore),
-                            left_score=lscore,
-                            right_score=rscore,
+                            scores=(lscore, rscore),
                         )
                     )
                     task.bump("join_pairs")
@@ -157,23 +155,16 @@ class IJLMRRankJoin(RankJoinAlgorithm):
 
 
 def _encode_tuple(result: JoinTuple) -> list:
-    """Serialize a join tuple for shuffle-size accounting."""
-    return [
-        result.left_key,
-        result.right_key,
-        result.join_value,
-        result.score,
-        result.left_score,
-        result.right_score,
-    ]
+    """Serialize a join tuple for shuffle-size accounting:
+    ``[left key, right key, join value, score, left score, right score]``
+    (``golden_mr_bytes.json`` pins the bytes this list meters)."""
+    return [*result.keys, result.join_value, result.score, *result.scores]
 
 
 def _decode_tuple(record: list) -> JoinTuple:
     return JoinTuple(
-        left_key=record[0],
-        right_key=record[1],
+        keys=(record[0], record[1]),
         join_value=record[2],
         score=record[3],
-        left_score=record[4],
-        right_score=record[5],
+        scores=(record[4], record[5]),
     )

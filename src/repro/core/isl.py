@@ -11,7 +11,7 @@ scanner caching), feeding tuples into the HRJN operator until its threshold
 test fires.  Batching trades bandwidth/dollars for latency: bigger batches
 amortize RPC latency but may overshoot the termination point.  The same
 index, operator and drains serve any arity (§3's multi-way extension);
-:class:`MultiWayISLRankJoin` only reports n-way result tuples.
+:class:`MultiWayISLRankJoin` only carries the n-way display name.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.common.serialization import (
     decode_str,
     encode_score_key,
 )
-from repro.common.multiway import MultiJoinTuple
 from repro.common.types import JoinTuple, ScoredRow
 from repro.core.base import IndexBuildReport, RankJoinAlgorithm, _ExecutionDetails
 from repro.core.hrjn import HRJNOperator
@@ -37,7 +36,6 @@ from repro.core.indexes import (
 )
 from repro.mapreduce.job import Job, TableInput, TableOutput, TaskContext
 from repro.platform import Platform
-from repro.query.results import MultiRankJoinResult
 from repro.query.spec import RankJoinQuery
 from repro.relational.binding import RelationBinding, load_relation
 from repro.store.cell import RowResult
@@ -121,6 +119,7 @@ class ISLRankJoin(RankJoinAlgorithm):
     """The ISL index + coordinator-based HRJN rank join."""
 
     name = "ISL"
+    max_arity = None
 
     def __init__(
         self,
@@ -193,14 +192,8 @@ class ISLRankJoin(RankJoinAlgorithm):
         return max(MIN_BATCH_ROWS, int(relation_rows * self.batch_fraction))
 
     def _run(self, query: RankJoinQuery, details: _ExecutionDetails) -> list[JoinTuple]:
-        operator, depth = self._drain(query)
-        details.values.update(depth)
-        return [_as_join_tuple(t) for t in operator.results]
-
-    def _drain(self, query: RankJoinQuery) -> "tuple[HRJNOperator, dict[str, float]]":
-        """Run Algorithm 4 at the query's arity; returns the operator and
-        the scan-depth details (``batches``, ``scatter_rounds``,
-        ``tuples_seen_<i>``)."""
+        """Run Algorithm 4 at the query's arity, recording the scan depth
+        (``batches``, ``scatter_rounds``, ``tuples_seen_<i>``)."""
         operator = HRJNOperator(query.arity, query.function, query.k)
         cursors = [
             _SideCursor(
@@ -213,12 +206,11 @@ class ISLRankJoin(RankJoinAlgorithm):
             batches, rounds = self._drain_scatter(operator, cursors)
         else:
             batches, rounds = self._drain_serial(operator, cursors), 0
-        seen = operator.tuples_seen()
-        return operator, {
-            "batches": batches,
-            "scatter_rounds": rounds,
-            **{f"tuples_seen_{i}": count for i, count in enumerate(seen)},
-        }
+        details.set("batches", batches)
+        details.set("scatter_rounds", rounds)
+        for i, count in enumerate(operator.tuples_seen()):
+            details.set(f"tuples_seen_{i}", count)
+        return operator.results
 
     @staticmethod
     def _drain_serial(operator: HRJNOperator, cursors: "list[_SideCursor]") -> int:
@@ -280,35 +272,8 @@ def _drained(operator: HRJNOperator, cursors: "list[_SideCursor]") -> bool:
     return all(cursor.exhausted for cursor in cursors) or operator.terminated()
 
 
-def _as_join_tuple(result: MultiJoinTuple) -> JoinTuple:
-    """An arity-2 operator result as the two-way result tuple."""
-    left_key, right_key = result.keys
-    left_score, right_score = result.scores
-    return JoinTuple(
-        left_key=left_key,
-        right_key=right_key,
-        join_value=result.join_value,
-        score=result.score,
-        left_score=left_score,
-        right_score=right_score,
-    )
-
-
 class MultiWayISLRankJoin(ISLRankJoin):
     """ISL over n relations (§3's extension): the same index, build and
-    drains, reporting n-way result tuples."""
+    drains under the n-way strategy's display name."""
 
     name = "ISL-nway"
-
-    def execute(self, query: RankJoinQuery) -> MultiRankJoinResult:
-        self.prepare(query)
-        before = self.platform.metrics.snapshot()
-        operator, details = self._drain(query)
-        after = self.platform.metrics.snapshot()
-        return MultiRankJoinResult(
-            algorithm=self.name,
-            k=query.k,
-            tuples=operator.results,
-            metrics=after - before,
-            details=details,
-        )

@@ -32,7 +32,7 @@ from repro.errors import PlanningError
 from repro.platform import Platform
 from repro.query.parser import parse_rank_join
 from repro.query.planner import QueryPlan, QueryPlanner
-from repro.query.results import MultiRankJoinResult, RankJoinResult
+from repro.query.results import RankJoinResult
 from repro.query.spec import RankJoinQuery
 from repro.query.statistics import StatisticsCatalog
 
@@ -57,11 +57,7 @@ MULTIWAY_FACTORIES = {
 }
 
 #: display names (algorithm.name / planner estimate labels) -> registry key
-MULTIWAY_ALIASES = {
-    "isl-nway": "isl",
-    "hrjn-nway": "hrjn",
-    "bfhm-cascade": "bfhm",
-}
+MULTIWAY_ALIASES = {cls.name.lower(): key for key, cls in MULTIWAY_FACTORIES.items()}
 
 #: the planner-backed pseudo-algorithm name (and the engine-wide default)
 AUTO = "auto"
@@ -79,7 +75,7 @@ class RankJoinEngine:
     ) -> None:
         self.platform = platform
         self._algorithms: dict[str, RankJoinAlgorithm] = {}
-        self._multiway: dict[str, object] = {}
+        self._multiway: dict[str, RankJoinAlgorithm] = {}
         self._algorithm_kwargs = algorithm_kwargs
         # the serving layer passes a shared catalog + plan cache so its
         # per-worker engines price queries against one set of statistics
@@ -129,12 +125,9 @@ class RankJoinEngine:
         instance (see :meth:`register_multiway` for arity >= 3)."""
         self._algorithms[name.lower()] = algorithm
 
-    def register_multiway(self, name: str, algorithm) -> None:
-        """Plug in a custom arity >= 3 strategy instance.
-
-        The instance must provide ``prepare(query)``, ``execute(query)``
-        and ``build_report(binding)`` (duck-typed, like the built-in
-        multi-way strategies)."""
+    def register_multiway(self, name: str, algorithm: RankJoinAlgorithm) -> None:
+        """Plug in a custom or specially configured arity >= 3 strategy
+        instance."""
         self._multiway[name.lower()] = algorithm
 
     #: algorithm auto mode falls back to when planning is impossible
@@ -147,12 +140,12 @@ class RankJoinEngine:
 
     def execute(
         self, query: RankJoinQuery, algorithm: str = AUTO
-    ) -> "RankJoinResult | MultiRankJoinResult":
+    ) -> RankJoinResult:
         """Run a bound query; ``algorithm="auto"`` lets the planner pick.
 
-        Two-way queries run the classic algorithm registry and return a
-        :class:`RankJoinResult`; arity >= 3 queries dispatch to the n-way
-        strategies and return a :class:`MultiRankJoinResult`.
+        Two-way queries run the classic algorithm registry; arity >= 3
+        queries dispatch to the n-way strategies.  Either way the result is
+        a :class:`RankJoinResult`.
         """
         multiway = query.arity > 2
         name = algorithm.lower()
@@ -185,7 +178,7 @@ class RankJoinEngine:
 
     def sql(
         self, text: str, algorithm: str = AUTO, family: str = "d"
-    ) -> "RankJoinResult | MultiRankJoinResult":
+    ) -> RankJoinResult:
         """Parse and run a SQL-dialect query (§1.1 syntax, any arity)."""
         return self.execute(parse_rank_join(text, family=family), algorithm)
 

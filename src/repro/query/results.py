@@ -3,39 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.cluster.metrics import MetricsSnapshot
-from repro.common.multiway import MultiJoinTuple
 from repro.common.types import JoinTuple
-
-
-def _score_multiset_recall(
-    want_scores: "Iterable[float]", got_scores: "Iterable[float]"
-) -> float:
-    """Score-multiset recall — rank joins may break ties arbitrarily, so
-    recall compares the multiset of scores (what the paper's 100%-recall
-    claim is about), not row identities."""
-    want = sorted(want_scores, reverse=True)
-    if not want:
-        return 1.0
-    got = sorted(got_scores, reverse=True)
-    matched = i = j = 0
-    while i < len(want) and j < len(got):
-        if abs(want[i] - got[j]) <= 1e-9:
-            matched += 1
-            i += 1
-            j += 1
-        elif got[j] > want[i]:
-            j += 1
-        else:
-            i += 1
-    return matched / len(want)
 
 
 @dataclass
 class RankJoinResult:
-    """What an algorithm returns: the tuples plus the bill.
+    """What an algorithm returns, at any arity: the tuples plus the bill.
 
     ``metrics`` is the *delta* snapshot covering only this query's
     execution (index build costs are reported separately, as in Fig. 9).
@@ -50,32 +25,24 @@ class RankJoinResult:
     def scores(self) -> list[float]:
         return [t.score for t in self.tuples]
 
-    def pairs(self) -> set[tuple[str, str]]:
-        return {t.as_pair() for t in self.tuples}
-
     def recall_against(self, truth: "list[JoinTuple]") -> float:
-        """Score-multiset recall against a ground-truth top-k list."""
-        return _score_multiset_recall(
-            (t.score for t in truth), (t.score for t in self.tuples)
-        )
+        """Score-multiset recall against a ground-truth top-k list.
 
-
-@dataclass
-class MultiRankJoinResult:
-    """N-way result with its measured costs (the arity ≥ 3 analogue of
-    :class:`RankJoinResult`, carrying :class:`MultiJoinTuple` rows)."""
-
-    algorithm: str
-    k: int
-    tuples: list[MultiJoinTuple]
-    metrics: MetricsSnapshot
-    details: dict[str, float] = field(default_factory=dict)
-
-    def scores(self) -> list[float]:
-        return [t.score for t in self.tuples]
-
-    def recall_against(self, truth: "list[MultiJoinTuple]") -> float:
-        """Score-multiset recall against a ground-truth top-k list."""
-        return _score_multiset_recall(
-            (t.score for t in truth), (t.score for t in self.tuples)
-        )
+        Rank joins may break ties arbitrarily, so recall compares the
+        multiset of scores (what the paper's 100%-recall claim is about),
+        not row identities."""
+        want = sorted((t.score for t in truth), reverse=True)
+        if not want:
+            return 1.0
+        got = sorted((t.score for t in self.tuples), reverse=True)
+        matched = i = j = 0
+        while i < len(want) and j < len(got):
+            if abs(want[i] - got[j]) <= 1e-9:
+                matched += 1
+                i += 1
+                j += 1
+            elif got[j] > want[i]:
+                j += 1
+            else:
+                i += 1
+        return matched / len(want)

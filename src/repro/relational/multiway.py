@@ -1,4 +1,4 @@
-"""Naive n-way rank join — the multi-way ground truth."""
+"""The complete n-way equi-join — what the naive rank join ranks."""
 
 from __future__ import annotations
 
@@ -7,15 +7,14 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from repro.common.functions import AggregateFunction
-from repro.common.multiway import MultiJoinTuple, combine_rows, top_k_multi
-from repro.common.types import ScoredRow
+from repro.common.types import JoinTuple, ScoredRow
 from repro.errors import QueryError
 
 
 def full_join_multi(
     relations: "Sequence[Iterable[ScoredRow]]",
     function: AggregateFunction,
-) -> list[MultiJoinTuple]:
+) -> list[JoinTuple]:
     """The complete n-way equi-join with aggregate scores."""
     if len(relations) < 2:
         raise QueryError(f"multi-way join needs >= 2 relations, got {len(relations)}")
@@ -30,17 +29,16 @@ def full_join_multi(
     for index in by_value[1:]:
         common_values &= set(index)
 
-    results: list[MultiJoinTuple] = []
+    results: list[JoinTuple] = []
     for value in common_values:
         for rows in product(*(index[value] for index in by_value)):
-            results.append(combine_rows(rows, function))
+            scores = tuple(row.score for row in rows)
+            results.append(
+                JoinTuple(
+                    keys=tuple(row.row_key for row in rows),
+                    join_value=value,
+                    score=function.combine(scores),
+                    scores=scores,
+                )
+            )
     return results
-
-
-def naive_rank_join_multi(
-    relations: "Sequence[Iterable[ScoredRow]]",
-    function: AggregateFunction,
-    k: int,
-) -> list[MultiJoinTuple]:
-    """Ground-truth n-way top-k join result."""
-    return top_k_multi(full_join_multi(relations, function), k)

@@ -2,16 +2,17 @@
 
 "A naive approach would first compute the join result, then rank and select
 the top-k tuples" — this is both the semantic definition of the query and
-the ground truth every algorithm's recall is validated against.
+the ground truth every algorithm's recall is validated against, at any
+arity.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.common.functions import AggregateFunction
-from repro.common.types import JoinTuple, ScoredRow, top_k_sorted
+from repro.common.types import JoinTuple, ScoredRow, top_k
+from repro.relational.multiway import full_join_multi
 
 
 def full_join(
@@ -19,38 +20,16 @@ def full_join(
     right: Iterable[ScoredRow],
     function: AggregateFunction,
 ) -> list[JoinTuple]:
-    """The complete equi-join result with aggregate scores."""
-    by_value: dict[str, list[ScoredRow]] = defaultdict(list)
-    for row in right:
-        by_value[row.join_value].append(row)
-    results: list[JoinTuple] = []
-    for lrow in left:
-        for rrow in by_value.get(lrow.join_value, ()):
-            results.append(
-                JoinTuple(
-                    left_key=lrow.row_key,
-                    right_key=rrow.row_key,
-                    join_value=lrow.join_value,
-                    score=function(lrow.score, rrow.score),
-                    left_score=lrow.score,
-                    right_score=rrow.score,
-                )
-            )
-    return results
+    """The complete two-way equi-join result with aggregate scores (the
+    two-argument form ``perf/oracle.py`` calls)."""
+    return full_join_multi([left, right], function)
 
 
 def naive_rank_join(
-    left: Iterable[ScoredRow],
-    right: Iterable[ScoredRow],
+    relations: "Sequence[Iterable[ScoredRow]]",
     function: AggregateFunction,
     k: int,
 ) -> list[JoinTuple]:
-    """Ground-truth top-k join result, deterministically ordered."""
-    return top_k_sorted(full_join(left, right, function), k)
-
-
-def kth_score(results: list[JoinTuple], k: int) -> "float | None":
-    """Score of the k-th tuple of a sorted result list, if it exists."""
-    if len(results) < k:
-        return None
-    return results[k - 1].score
+    """Ground-truth top-k join result over ``relations``, deterministically
+    ordered."""
+    return top_k(full_join_multi(relations, function), k)

@@ -45,6 +45,7 @@ from concurrent.futures import wait as _wait_futures
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro.core.base import RankJoinAlgorithm
 from repro.core.bfhm.updates import WriteBackPolicy
 from repro.errors import (
     BudgetExceededError,
@@ -477,13 +478,14 @@ class QueryServer:
         return name, plan
 
     @staticmethod
-    def _needs_index_build(instance, query: RankJoinQuery) -> bool:
+    def _needs_index_build(
+        instance: RankJoinAlgorithm, query: RankJoinQuery
+    ) -> bool:
         """True when executing would first build an index (a write)."""
-        probe = getattr(instance, "_index_exists", None)
-        if probe is None:
+        if type(instance)._build_index is RankJoinAlgorithm._build_index:
             return False  # index-free strategy (e.g. the n-way HRJN pipeline)
         try:
-            return any(not probe(binding) for binding in query.inputs)
+            return any(not instance._index_exists(binding) for binding in query.inputs)
         except Exception:
             return True  # cannot prove the indexes exist: serialize it
 

@@ -46,8 +46,9 @@ class TestEstimationBehaviour:
         reverse-mapping equality check."""
         result = shared_setup.engine.execute(q1(25), algorithm="bfhm")
         for t in result.tuples:
-            assert t.left_key.startswith("P")
-            assert t.right_key.startswith("L")
+            part_key, lineitem_key = t.keys
+            assert part_key.startswith("P")
+            assert lineitem_key.startswith("L")
             assert t.join_value  # a real join value, never a bit position
 
 

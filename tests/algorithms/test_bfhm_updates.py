@@ -51,8 +51,7 @@ class TestInsertReplay:
             query.right.signature, "LNEW", "winner", 0.999
         )
         result = algorithm.execute(query)
-        assert result.tuples[0].left_key == "PNEW"
-        assert result.tuples[0].right_key == "LNEW"
+        assert result.tuples[0].keys == ("PNEW", "LNEW")
         assert result.tuples[0].score == pytest.approx(0.999 * 0.999)
 
     def test_insert_populates_empty_bucket(self, fresh_setup):
@@ -78,14 +77,14 @@ class TestInsertReplay:
         winner = before.tuples[0]
         left = next(
             r for r in fresh_setup.ground_truth(query, 1)
-            if r.left_key == winner.left_key
+            if r.keys[0] == winner.keys[0]
         )
         algorithm.update_manager.apply_delete(
-            query.left.signature, winner.left_key,
-            winner.join_value, left.left_score,
+            query.left.signature, winner.keys[0],
+            winner.join_value, left.scores[0],
         )
         after = algorithm.execute(query)
-        assert all(t.left_key != winner.left_key for t in after.tuples)
+        assert all(t.keys[0] != winner.keys[0] for t in after.tuples)
 
 
 class TestWriteBackPolicies:
@@ -173,6 +172,6 @@ class TestRecallUnderUpdates:
 
         result = algorithm.execute(query)
         expected_pairs = {(f"PN{i}", f"LN{i}") for i in range(8) if i != 3}
-        got_pairs = result.pairs()
+        got_pairs = {t.keys for t in result.tuples}
         assert expected_pairs & got_pairs  # new high scorers surface
-        assert all(t.left_key != "PN3" for t in result.tuples)
+        assert all(t.keys[0] != "PN3" for t in result.tuples)

@@ -5,12 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.functions import ProductFunction, SumFunction
-from repro.common.multiway import top_k_multi
-from repro.common.types import ScoredRow
+from repro.common.types import ScoredRow, top_k
 from repro.core.hrjn import HRJNOperator, hrjn_join
-from repro.core.isl import ISLRankJoin, _as_join_tuple
+from repro.core.isl import ISLRankJoin
 from repro.errors import QueryError
-from repro.relational.multiway import full_join_multi, naive_rank_join_multi
+from repro.relational.multiway import full_join_multi
 from repro.relational.naive import naive_rank_join
 
 LEFT, RIGHT = 0, 1
@@ -112,7 +111,7 @@ class TestHrjnJoin:
         left = rows([("a", 0.9), ("b", 0.8), ("a", 0.3)])
         right = rows([("a", 0.7), ("b", 0.95), ("c", 0.2)], prefix="s")
         results, _ = hrjn_join([left, right], SumFunction(), 2)
-        truth = naive_rank_join(left, right, SumFunction(), 2)
+        truth = naive_rank_join([left, right], SumFunction(), 2)
         assert [t.score for t in results] == [t.score for t in truth]
 
     def test_early_termination_saves_depth(self):
@@ -136,7 +135,7 @@ class TestHrjnJoin:
         left = rows(left_spec)
         right = rows(right_spec, prefix="s")
         results, _ = hrjn_join([left, right], function, k)
-        truth = naive_rank_join(left, right, function, k)
+        truth = naive_rank_join([left, right], function, k)
         assert [round(t.score, 9) for t in results] == [
             round(t.score, 9) for t in truth
         ]
@@ -190,7 +189,7 @@ class TestDifferential:
         of the tied join tuples)."""
         function = SumFunction()
         results, seen = hrjn_join(relations, function, k)
-        truth = naive_rank_join_multi(relations, function, k)
+        truth = naive_rank_join(relations, function, k)
         assert [t.score for t in results] == [t.score for t in truth]
         if truth:
             kth = truth[-1].score
@@ -206,16 +205,18 @@ class TestDifferential:
     @settings(max_examples=100, deadline=None)
     def test_batched_isl_drain_matches_naive_pairs(self, relations, k, batch_rows):
         """Pairs fed in ISL-style batches through ISL's serial drain give
-        the two-way oracle's scores, as two-way result tuples."""
+        the oracle's scores, each tuple carrying both inputs' keys and
+        scores."""
         left, right = relations
         operator = HRJNOperator(2, SumFunction(), k)
         cursors = [_ListCursor(left, batch_rows), _ListCursor(right, batch_rows)]
         ISLRankJoin._drain_serial(operator, cursors)
-        results = [_as_join_tuple(t) for t in operator.results]
-        truth = naive_rank_join(left, right, SumFunction(), k)
+        results = operator.results
+        truth = naive_rank_join([left, right], SumFunction(), k)
         assert [t.score for t in results] == [t.score for t in truth]
         assert all(
-            t.score == t.left_score + t.right_score for t in results
+            len(t.keys) == 2 and t.score == t.scores[0] + t.scores[1]
+            for t in results
         )
 
     @given(relation_sets(), st.integers(min_value=1, max_value=4))
@@ -242,5 +243,5 @@ class TestDifferential:
             produced_total += operator.add(index, row)
             everything = full_join_multi(prefixes, function)
             assert produced_total == len(everything)
-            assert operator._results == top_k_multi(everything, 2 * k + 8)
+            assert operator._results == top_k(everything, 2 * k + 8)
             index = (index + 1) % arity

@@ -13,7 +13,6 @@ from repro.common.functions import (
     SumFunction,
     WeightedSumFunction,
 )
-from repro.common.multiway import MultiJoinTuple, combine_rows
 from repro.common.serialization import encode_float, encode_str
 from repro.common.types import ScoredRow
 from repro.core.bfhm.multi import BFHMCascadeRankJoin, stage_functions
@@ -23,7 +22,10 @@ from repro.errors import QueryError
 from repro.platform import Platform
 from repro.query.spec import RankJoinQuery
 from repro.relational.binding import RelationBinding
-from repro.relational.multiway import full_join_multi, naive_rank_join_multi
+from repro.query.engine import RankJoinEngine
+from repro.query.results import RankJoinResult
+from repro.relational.multiway import full_join_multi
+from repro.relational.naive import naive_rank_join
 from repro.store.client import Put
 
 
@@ -31,26 +33,18 @@ def rows(specs, prefix):
     return [ScoredRow(f"{prefix}{i}", v, s) for i, (v, s) in enumerate(specs)]
 
 
-class TestMultiJoinTuple:
-    def test_combine_rows(self):
-        t = combine_rows(
-            [ScoredRow("a1", "x", 0.5), ScoredRow("b1", "x", 0.25),
-             ScoredRow("c1", "x", 0.25)],
+class TestNaiveMultiway:
+    def test_joined_tuple_fields(self):
+        [t] = full_join_multi(
+            [[ScoredRow("a1", "x", 0.5)], [ScoredRow("b1", "x", 0.25)],
+             [ScoredRow("c1", "x", 0.25)]],
             SumFunction(),
         )
         assert t.score == pytest.approx(1.0)
         assert t.keys == ("a1", "b1", "c1")
-        assert t.arity == 3
+        assert t.scores == (0.5, 0.25, 0.25)
+        assert t.join_value == "x"
 
-    def test_mismatched_join_values_rejected(self):
-        with pytest.raises(ValueError):
-            combine_rows(
-                [ScoredRow("a1", "x", 0.5), ScoredRow("b1", "y", 0.5)],
-                SumFunction(),
-            )
-
-
-class TestNaiveMultiway:
     def test_three_way_join(self):
         r1 = rows([("a", 0.9), ("b", 0.5)], "x")
         r2 = rows([("a", 0.8), ("a", 0.2)], "y")
@@ -64,16 +58,22 @@ class TestNaiveMultiway:
         with pytest.raises(QueryError):
             full_join_multi([rows([("a", 1.0)], "x")], SumFunction())
 
-    def test_two_way_reduces_to_pairwise(self):
-        from repro.relational.naive import naive_rank_join
-
-        r1 = rows([("a", 0.9), ("b", 0.5), ("a", 0.1)], "x")
-        r2 = rows([("a", 0.8), ("b", 0.7)], "y")
-        multi = naive_rank_join_multi([r1, r2], SumFunction(), 3)
-        pair = naive_rank_join(r1, r2, SumFunction(), 3)
-        assert [t.score for t in multi] == pytest.approx(
-            [t.score for t in pair]
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_engine_result_shape_at_every_arity(self, arity):
+        """One result type at every arity: the engine returns a
+        RankJoinResult whose tuples carry one key and one score per input."""
+        relations = _make_relations(arity, "random")
+        platform = Platform(EC2_PROFILE)
+        bindings = _load_tables(platform, relations)
+        query = RankJoinQuery(inputs=tuple(bindings), function=SumFunction(), k=5)
+        result = RankJoinEngine(platform).execute(query, algorithm="isl")
+        assert isinstance(result, RankJoinResult)
+        assert result.tuples
+        assert all(
+            len(t.keys) == arity and len(t.scores) == arity for t in result.tuples
         )
+        truth = naive_rank_join(relations, SumFunction(), 5)
+        assert result.recall_against(truth) == 1.0
 
 
 class TestMultiWayHRJN:
@@ -106,7 +106,7 @@ class TestMultiWayHRJN:
     def test_three_way_matches_naive(self, s1, s2, s3, k):
         relations = [rows(s1, "x"), rows(s2, "y"), rows(s3, "z")]
         results, _ = hrjn_join(relations, SumFunction(), k)
-        truth = naive_rank_join_multi(relations, SumFunction(), k)
+        truth = naive_rank_join(relations, SumFunction(), k)
         assert [round(t.score, 9) for t in results] == [
             round(t.score, 9) for t in truth
         ]
@@ -158,7 +158,7 @@ class TestMultiWayISL:
             load_relation(setup.platform.store, binding)
             for binding in query.inputs
         ]
-        truth = naive_rank_join_multi(relations, query.function, query.k)
+        truth = naive_rank_join(relations, query.function, query.k)
         algorithm = MultiWayISLRankJoin(setup.platform)
         result = algorithm.execute(query)
         assert result.recall_against(truth) == 1.0
@@ -272,7 +272,7 @@ def _load_tables(platform: Platform, relations) -> "list[RelationBinding]":
 
 
 class TestNWayCorrectness:
-    """Cross-check the n-way operators against naive_rank_join_multi."""
+    """Cross-check the n-way operators against the naive oracle."""
 
     @pytest.mark.parametrize("arity", [2, 3, 4])
     @pytest.mark.parametrize("shape", SHAPES)
@@ -280,7 +280,7 @@ class TestNWayCorrectness:
         relations = _make_relations(arity, shape)
         function = SumFunction()
         for k in (1, 5):
-            truth = naive_rank_join_multi(relations, function, k)
+            truth = naive_rank_join(relations, function, k)
             results, _ = hrjn_join(relations, function, k)
             assert [round(t.score, 9) for t in results] == [
                 round(t.score, 9) for t in truth
@@ -294,7 +294,7 @@ class TestNWayCorrectness:
         bindings = _load_tables(platform, relations)
         function = SumFunction()
         k = 5
-        truth = naive_rank_join_multi(relations, function, k)
+        truth = naive_rank_join(relations, function, k)
         algorithm = BFHMCascadeRankJoin(platform)
         result = algorithm.execute(
             RankJoinQuery(inputs=tuple(bindings), function=function, k=k)
@@ -312,7 +312,7 @@ class TestNWayCorrectness:
         relations = _make_relations(3, "random")
         platform = Platform(EC2_PROFILE)
         bindings = _load_tables(platform, relations)
-        truth = naive_rank_join_multi(relations, function, 4)
+        truth = naive_rank_join(relations, function, 4)
         algorithm = BFHMCascadeRankJoin(platform)
         result = algorithm.execute(
             RankJoinQuery(inputs=tuple(bindings), function=function, k=4)
@@ -325,7 +325,7 @@ class TestNWayCorrectness:
         platform = Platform(EC2_PROFILE)
         bindings = _load_tables(platform, relations)
         function = SumFunction()
-        truth = naive_rank_join_multi(relations, function, 5)
+        truth = naive_rank_join(relations, function, 5)
         algorithm = MultiWayHRJNRankJoin(platform)
         result = algorithm.execute(
             RankJoinQuery(inputs=tuple(bindings), function=function, k=5)
@@ -346,7 +346,7 @@ class TestNWayCorrectness:
         platform = Platform(EC2_PROFILE)
         bindings = _load_tables(platform, [r1, r2, r3])
         function = SumFunction()
-        truth = naive_rank_join_multi([r1, r2, r3], function, 1)
+        truth = naive_rank_join([r1, r2, r3], function, 1)
         assert truth[0].join_value == "b"
         algorithm = BFHMCascadeRankJoin(platform)
         result = algorithm.execute(
@@ -419,7 +419,7 @@ class TestNWayGuards:
         platform = Platform(EC2_PROFILE)
         bindings = _load_tables(platform, [r1, r2, r3])
         function = SumFunction()
-        truth = naive_rank_join_multi([r1, r2, r3], function, 4)
+        truth = naive_rank_join([r1, r2, r3], function, 4)
         algorithm = BFHMCascadeRankJoin(platform)
         result = algorithm.execute(
             RankJoinQuery(inputs=tuple(bindings), function=function, k=4)

@@ -62,7 +62,7 @@ def test_coordinator_algorithms_on_random_relations(left, right, k, fn):
     setup, query = platform_setup
     query = RankJoinQuery.of(query.left, query.right, fn, k)
     truth = naive_rank_join(
-        _scored(left, "L"), _scored(right, "R"), query.function, k
+        [_scored(left, "L"), _scored(right, "R")], query.function, k
     )
     for algorithm in ("isl", "bfhm"):
         result = setup.engine.execute(query, algorithm=algorithm)

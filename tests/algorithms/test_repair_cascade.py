@@ -74,8 +74,7 @@ class TestRepairCascade:
         platform, algorithm, query = _cascade_setup()
         result = algorithm.execute(query)
         truth = naive_rank_join(
-            load_relation(platform.store, query.left),
-            load_relation(platform.store, query.right),
+            [load_relation(platform.store, b) for b in query.inputs],
             query.function, CASCADE_K,
         )
         # the crafted distribution needs ≥2 repair rounds AND phase-2
@@ -167,8 +166,7 @@ class TestForceFetchBothSides:
         assert trace[1].buckets_fetched == 2
         # recall survives the stubbed estimation: the loop fetched everything
         truth = naive_rank_join(
-            load_relation(platform.store, query.left),
-            load_relation(platform.store, query.right),
+            [load_relation(platform.store, b) for b in query.inputs],
             query.function, query.k,
         )
         assert result.recall_against(truth) == 1.0

@@ -43,13 +43,13 @@ class TestNWaySQLPath:
 
     def _truth(self, engine, query):
         from repro.relational.binding import load_relation
-        from repro.relational.multiway import naive_rank_join_multi
+        from repro.relational.naive import naive_rank_join
 
         relations = [
             load_relation(engine.platform.store, binding)
             for binding in query.inputs
         ]
-        return naive_rank_join_multi(relations, query.function, query.k)
+        return naive_rank_join(relations, query.function, query.k)
 
     def test_three_way_auto_end_to_end(self, tiny_engine):
         from repro.query.parser import parse_rank_join

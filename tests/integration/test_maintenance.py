@@ -67,7 +67,7 @@ class TestRefreshSets:
         query = q2(15)
         left = load_relation(setup.platform.store, query.left)
         right = load_relation(setup.platform.store, query.right)
-        truth = naive_rank_join(left, right, query.function, 15)
+        truth = naive_rank_join([left, right], query.function, 15)
         result = setup.engine.execute(query, algorithm=algorithm)
         assert result.recall_against(truth) == 1.0
 
@@ -137,6 +137,6 @@ class TestRetries:
         query = q2(10)
         left = load_relation(setup.platform.store, query.left)
         right = load_relation(setup.platform.store, query.right)
-        truth = naive_rank_join(left, right, query.function, 10)
+        truth = naive_rank_join([left, right], query.function, 10)
         result = setup.engine.execute(query, algorithm="isl")
         assert result.recall_against(truth) == 1.0

@@ -177,7 +177,7 @@ class TestBatchEqualsSingles:
         query = q2(15)
         left = load_relation(setup.platform.store, query.left)
         right = load_relation(setup.platform.store, query.right)
-        truth = naive_rank_join(left, right, query.function, 15)
+        truth = naive_rank_join([left, right], query.function, 15)
         result = setup.engine.execute(query, algorithm=algorithm)
         assert result.recall_against(truth) == 1.0
 

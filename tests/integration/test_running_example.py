@@ -72,7 +72,7 @@ class TestGroundTruth:
     def test_top3_by_sum(self, example):
         """Fig. 6(c) rows 1–2: the actual top scores are b-joins
         (0.82+0.92, 0.82+0.91 twice ...)."""
-        truth = naive_rank_join(scored(R1), scored(R2), _sum(), 3)
+        truth = naive_rank_join([scored(R1), scored(R2)], _sum(), 3)
         # b-joins dominate: 0.82+0.92, 0.82+0.91, then 0.70+0.92
         assert [round(t.score, 2) for t in truth] == [1.74, 1.73, 1.62]
         assert truth[0].join_value == "b"
@@ -167,7 +167,7 @@ class TestBFHMExample:
     def test_top3_exact(self, bfhm):
         setup, query, algorithm = bfhm
         result = algorithm.execute(query)
-        truth = naive_rank_join(scored(R1), scored(R2), _sum(), 3)
+        truth = naive_rank_join([scored(R1), scored(R2)], _sum(), 3)
         assert result.recall_against(truth) == 1.0
         assert [round(t.score, 2) for t in result.tuples] == [1.74, 1.73, 1.62]
 
@@ -204,6 +204,6 @@ class TestAllAlgorithmsOnExample:
     def test_exact_topk(self, example, algorithm, k):
         setup, query = example
         query = query.with_k(k)
-        truth = naive_rank_join(scored(R1), scored(R2), query.function, k)
+        truth = naive_rank_join([scored(R1), scored(R2)], query.function, k)
         result = setup.engine.execute(query, algorithm=algorithm)
         assert result.recall_against(truth) == 1.0

@@ -56,7 +56,7 @@ class TestEnqueueDrain:
         query = q2(15)
         left = load_relation(rig.platform.store, query.left)
         right = load_relation(rig.platform.store, query.right)
-        truth = naive_rank_join(left, right, query.function, 15)
+        truth = naive_rank_join([left, right], query.function, 15)
         for algorithm in ("ijlmr", "isl", "bfhm"):
             result = rig.setup.engine.execute(query, algorithm=algorithm)
             assert result.recall_against(truth) == 1.0, algorithm

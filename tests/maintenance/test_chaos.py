@@ -46,7 +46,7 @@ def _result_pin(rig):
     pins = {}
     for algorithm in ALGORITHMS:
         result = rig.setup.engine.execute(query, algorithm=algorithm)
-        pins[algorithm] = [(t.as_pair(), t.score) for t in result.tuples]
+        pins[algorithm] = [(t.keys, t.score) for t in result.tuples]
     return pins
 
 

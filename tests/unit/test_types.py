@@ -1,10 +1,11 @@
 """Core value types."""
 
-from repro.common.types import JoinTuple, ScoredRow, top_k_sorted
+from repro.common.types import JoinTuple, ScoredRow, top_k
 
 
-def make(score: float, lk: str = "l", rk: str = "r") -> JoinTuple:
-    return JoinTuple(lk, rk, "v", score, score / 2, score / 2)
+def make(score: float, *keys: str) -> JoinTuple:
+    keys = keys or ("l", "r")
+    return JoinTuple(keys, "v", score, tuple(score / len(keys) for _ in keys))
 
 
 class TestScoredRow:
@@ -32,10 +33,17 @@ class TestJoinTuple:
         b = make(0.5, "l0", "r9")
         assert sorted([a, b], key=JoinTuple.sort_key) == [b, a]
 
-    def test_top_k_sorted(self):
+    def test_arity_three_ties_ordered_by_keys(self):
+        a = make(0.5, "a", "c", "a")
+        b = make(0.5, "a", "b", "z")
+        c = make(0.5, "0", "z", "z")
+        d = make(0.7, "z", "z", "z")
+        assert top_k([a, b, c, d], 4) == [d, c, b, a]
+
+    def test_top_k_cuts_in_order(self):
         results = [make(s) for s in (0.1, 0.7, 0.4, 0.9)]
-        top = top_k_sorted(results, 2)
+        top = top_k(results, 2)
         assert [t.score for t in top] == [0.9, 0.7]
 
     def test_top_k_with_fewer_results(self):
-        assert len(top_k_sorted([make(0.3)], 5)) == 1
+        assert len(top_k([make(0.3)], 5)) == 1
