@@ -19,6 +19,10 @@ from typing import Any, Callable, Iterable
 
 _MASK64 = (1 << 64) - 1
 _SIGN64 = 1 << 63
+_LOW63 = _SIGN64 - 1
+#: big-endian IEEE-754 double and 64-bit unsigned int, compiled once
+_DOUBLE = struct.Struct(">d")
+_UINT64 = struct.Struct(">Q")
 
 
 def encode_str(value: str) -> bytes:
@@ -33,12 +37,12 @@ def decode_str(data: bytes) -> str:
 
 def encode_float(value: float) -> bytes:
     """Serialize a float as 8 bytes, big-endian IEEE-754."""
-    return struct.pack(">d", value)
+    return _DOUBLE.pack(value)
 
 
 def decode_float(data: bytes) -> float:
     """Inverse of :func:`encode_float`."""
-    return struct.unpack(">d", data)[0]
+    return _DOUBLE.unpack(data)[0]
 
 
 def encode_score_key(score: float) -> str:
@@ -51,7 +55,7 @@ def encode_score_key(score: float) -> str:
     hex.  The encoding is *lossless* — tuple scores recovered from index
     keys are bit-exact — and totally ordered for any finite score.
     """
-    bits = struct.unpack(">Q", struct.pack(">d", score))[0]
+    bits = _UINT64.unpack(_DOUBLE.pack(score))[0]
     if bits & _SIGN64:
         ascending = ~bits & _MASK64  # negative floats: reverse order
     else:
@@ -63,12 +67,9 @@ def encode_score_key(score: float) -> str:
 def decode_score_key(key: str) -> float:
     """Exact inverse of :func:`encode_score_key`."""
     descending = int(key, 16)
-    ascending = ~descending & _MASK64
-    if ascending & _SIGN64:
-        bits = ascending & ~_SIGN64
-    else:
-        bits = ~ascending & _MASK64
-    return struct.unpack(">d", struct.pack(">Q", bits))[0]
+    # undo the complement, then the sign mapping, in one XOR
+    bits = descending if descending & _SIGN64 else descending ^ _LOW63
+    return _DOUBLE.unpack(_UINT64.pack(bits))[0]
 
 
 #: framing a tuple, list or dict adds around its items

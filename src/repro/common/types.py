@@ -13,12 +13,16 @@ aggregate score, and the individual scores it was computed from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class ScoredRow:
+#: the payload of a row that has none: one shared, read-only empty mapping
+_NO_PAYLOAD: Mapping[str, Any] = MappingProxyType({})
+
+
+class ScoredRow(NamedTuple):
     """A row of an input relation, as seen by the rank-join algorithms.
 
     Attributes:
@@ -34,7 +38,7 @@ class ScoredRow:
     row_key: str
     join_value: str
     score: float
-    payload: Mapping[str, Any] = field(default_factory=dict)
+    payload: Mapping[str, Any] = _NO_PAYLOAD
 
     def projected(self) -> "ScoredRow":
         """Return a copy stripped of the payload (an early projection)."""

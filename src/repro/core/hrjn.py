@@ -23,6 +23,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Iterable
 
 from repro.common.functions import AggregateFunction
 from repro.common.types import JoinTuple, ScoredRow
@@ -45,18 +46,6 @@ class _InputState:
     last_score: "float | None" = None
     tuples_seen: int = 0
 
-    def observe(self, row: ScoredRow) -> None:
-        if self.top_score is None:
-            self.top_score = row.score
-        elif row.score > self.last_score + SCORE_EPSILON:  # type: ignore[operator]
-            raise QueryError(
-                f"HRJN input not sorted: score {row.score} after "
-                f"{self.last_score}"
-            )
-        self.last_score = row.score
-        self.tuples_seen += 1
-        self.by_join_value.setdefault(row.join_value, []).append(row)
-
 
 class HRJNOperator:
     """Incremental n-way HRJN with threshold-based termination.
@@ -65,6 +54,9 @@ class HRJNOperator:
     beyond k so ties are not lost), in :meth:`JoinTuple.sort_key`
     order: each tuple is inserted in place and the tail trimmed, and a
     tuple scoring below a full buffer's last entry is never built.
+
+    The threshold is kept, not recomputed: input ``i``'s candidate
+    ``f(ŝ_1, …, s̄_i, …, ŝ_n)`` changes only when its ``s̄_i`` does.
     """
 
     def __init__(self, arity: int, function: AggregateFunction, k: int) -> None:
@@ -78,53 +70,131 @@ class HRJNOperator:
         self._capacity = 2 * k + 8
         self._inputs = [_InputState() for _ in range(arity)]
         self._results: list[JoinTuple] = []
-        #: every input's top score, fixed once all inputs have one;
-        #: threshold() swaps one slot at a time to an input's latest score
-        self._tops: "list[float | None] | None" = None
+        #: every input's top score and threshold candidate, once all
+        #: inputs have one; the threshold is the largest candidate
+        self._tops: "list[float] | None" = None
+        self._candidates: list[float] = []
+        self._threshold: "float | None" = None
+        #: the termination test's answer in the current state
+        self._terminated = False
+        self._produced = 0  # join combinations completed so far
 
     # -- feeding ------------------------------------------------------------
 
     def add(self, index: int, row: ScoredRow) -> int:
         """Feed one tuple from input ``index``; returns how many join
         combinations it completed."""
+        produced = self._produced
+        self.feed(index, (row,))
+        return self._produced - produced
+
+    def feed(self, index: int, rows: Iterable[ScoredRow]) -> int:
+        """Feed tuples of input ``index`` in order, as :meth:`add` then
+        :meth:`terminated` per tuple would, stopping on the same tuple;
+        returns how many were consumed.  The test is a pure function of
+        the k-th score and the threshold, so it is re-run only after a
+        tuple that moves the input's last score or enters the buffer."""
         if not 0 <= index < self.arity:
             raise QueryError(f"input index {index} out of range [0, {self.arity})")
         inputs = self._inputs
-        inputs[index].observe(row)
-
-        join_value = row.join_value
-        partners = []
-        for other_index, other in enumerate(inputs):
-            if other_index != index:
-                matches = other.by_join_value.get(join_value)
-                if not matches:
-                    return 0  # some input has no partner (yet)
-                partners.append(matches)
-
+        state = inputs[index]
+        seen = state.by_join_value
+        others = [other.by_join_value for other in inputs if other is not state]
         buffer = self._results
         capacity = self._capacity
+        k = self.k
         combine = self.function.combine
-        produced = 0
-        for combination in product(*partners):
-            produced += 1
-            rows = (*combination[:index], row, *combination[index:])
-            scores = tuple(r.score for r in rows)
-            score = combine(scores)
-            if len(buffer) >= capacity and score < buffer[-1].score:
-                continue  # would be trimmed straight away
-            insort(
-                buffer,
-                JoinTuple(
-                    keys=tuple(r.row_key for r in rows),
-                    join_value=join_value,
-                    score=score,
-                    scores=scores,
-                ),
-                key=JoinTuple.sort_key,
-            )
-            if len(buffer) > capacity:
-                buffer.pop()
-        return produced
+        tops = self._tops
+        candidates = self._candidates
+        threshold = self._threshold
+        terminated = self._terminated
+        consumed = 0
+        for row in rows:
+            score = row.score
+            last = state.last_score
+            if last is None:
+                state.top_score = score
+            elif score > last + SCORE_EPSILON:
+                raise QueryError(f"HRJN input not sorted: score {score} after {last}")
+            consumed += 1
+            state.last_score = score
+            state.tuples_seen += 1
+            join_value = row.join_value
+            bucket = seen.get(join_value)
+            if bucket is None:
+                seen[join_value] = [row]
+            else:
+                bucket.append(row)
+
+            changed = score != last
+            if changed:
+                # the threshold moves only with an input's last score
+                if tops is None:
+                    self._start_frontier()
+                    tops, candidates = self._tops, self._candidates
+                else:
+                    top = tops[index]
+                    tops[index] = score
+                    candidates[index] = combine(tops)
+                    tops[index] = top
+                if tops is not None:
+                    threshold = self._threshold = max(candidates)
+
+            partners: list[list[ScoredRow]] = []
+            for other in others:
+                matches = other.get(join_value)
+                if not matches:
+                    break  # some input has no partner (yet)
+                partners.append(matches)
+            else:
+                for combination in product(*partners):
+                    self._produced += 1
+                    combined = (*combination[:index], row, *combination[index:])
+                    scores = tuple(r.score for r in combined)
+                    total = combine(scores)
+                    if len(buffer) >= capacity and total < buffer[-1].score:
+                        continue  # would be trimmed straight away
+                    insort(
+                        buffer,
+                        JoinTuple(
+                            keys=tuple(r.row_key for r in combined),
+                            join_value=join_value,
+                            score=total,
+                            scores=scores,
+                        ),
+                        key=JoinTuple.sort_key,
+                    )
+                    if len(buffer) > capacity:
+                        buffer.pop()
+                    changed = True
+
+            if changed:
+                # an exhausted input can no longer lower its contribution,
+                # but the threshold is still a valid (if loose) upper bound
+                terminated = self._terminated = (
+                    threshold is not None
+                    and len(buffer) >= k
+                    and buffer[k - 1].score >= threshold - SCORE_EPSILON
+                )
+            if terminated:
+                break
+        return consumed
+
+    def _start_frontier(self) -> None:
+        """Fix the top scores and every input's threshold candidate, once
+        all inputs have a score (until then the threshold is undefined)."""
+        tops: list[float] = []
+        lasts: list[float] = []
+        for state in self._inputs:
+            if state.top_score is None or state.last_score is None:
+                return
+            tops.append(state.top_score)
+            lasts.append(state.last_score)
+        combine = self.function.combine
+        self._candidates = [
+            combine([*tops[:i], last, *tops[i + 1 :]]) for i, last in enumerate(lasts)
+        ]
+        self._tops = tops
 
     # -- inspection -----------------------------------------------------------
 
@@ -141,33 +211,12 @@ class HRJNOperator:
     def threshold(self) -> "float | None":
         """S = max_i f(ŝ_1, …, s̄_i, …, ŝ_n), or ``None`` until every
         input has produced at least one tuple."""
-        tops = self._tops
-        if tops is None:
-            if any(state.top_score is None for state in self._inputs):
-                return None
-            tops = self._tops = [state.top_score for state in self._inputs]
-        combine = self.function.combine
-        best = None
-        for i, state in enumerate(self._inputs):
-            tops[i] = state.last_score
-            candidate = combine(tops)  # type: ignore[arg-type]
-            tops[i] = state.top_score
-            if best is None or candidate > best:
-                best = candidate
-        return best
+        return self._threshold
 
     def terminated(self) -> bool:
         """True once the k-th result provably cannot be displaced (the
         caller stops anyway once every input is exhausted)."""
-        kth = self.kth_score()
-        if kth is None:
-            return False
-        threshold = self.threshold()
-        if threshold is None:
-            return False
-        # an exhausted input can no longer lower its contribution, but the
-        # threshold is still a valid (if loose) upper bound
-        return kth >= threshold - SCORE_EPSILON
+        return self._terminated
 
     def tuples_seen(self) -> tuple[int, ...]:
         return tuple(state.tuples_seen for state in self._inputs)

@@ -19,12 +19,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Iterator
 
-from repro.common.serialization import (
-    decode_float,
-    decode_score_key,
-    decode_str,
-    encode_score_key,
-)
+from repro.common.serialization import decode_float, decode_score_key, encode_score_key
 from repro.common.types import JoinTuple, ScoredRow
 from repro.core.base import IndexBuildReport, RankJoinAlgorithm, _ExecutionDetails
 from repro.core.hrjn import HRJNOperator
@@ -67,11 +62,12 @@ class _SideCursor:
         htable = platform.store.table(ISL_TABLE)
         self.batch_rows = batch_rows
         self._table = htable.table
-        self._rows: Iterator[RowResult] = htable.scan(
+        self._batches: Iterator[list[RowResult]] = htable.scan_batches(
             Scan(families={signature}, caching=batch_rows)
         )
-        self._signature = signature
-        self._pending: list[ScoredRow] = []
+        #: fetched rows not handed out yet: a batch that crosses a region
+        #: boundary ends inside the next region's first RPC batch
+        self._pending: list[RowResult] = []
         self.exhausted = False
         #: last index row pulled — the scan's position, used to route the
         #: next batch fetch to the region server currently serving it
@@ -79,28 +75,27 @@ class _SideCursor:
 
     def next_batch(self) -> list[ScoredRow]:
         """Tuples of the next ``batch_rows`` index rows (possibly more
-        tuples than rows — equal scores share an index row)."""
-        batch: list[ScoredRow] = []
-        rows_taken = 0
-        while rows_taken < self.batch_rows:
-            try:
-                row = next(self._rows)
-            except StopIteration:
+        tuples than rows — equal scores share an index row).  An RPC batch
+        is fetched only when a row is still missing."""
+        want = self.batch_rows
+        rows = self._pending
+        while len(rows) < want:
+            fetched = next(self._batches, None)
+            if fetched is None:
                 self.exhausted = True
                 break
-            rows_taken += 1
-            self._last_row_key = row.row
-            # every entry of an index row shares the row's score
-            score = decode_score_key(row.row)
-            for cell in row.family_cells(self._signature):
-                batch.append(
-                    ScoredRow(
-                        row_key=cell.qualifier,
-                        join_value=decode_str(cell.value),
-                        score=score,
-                    )
-                )
-        return batch
+            rows = rows + fetched if rows else fetched
+        rows, self._pending = rows[:want], rows[want:]
+        if rows:
+            self._last_row_key = rows[-1].row
+        # every entry of an index row shares the row's score; the scan
+        # reads one family, so every cell is an entry
+        return [
+            ScoredRow(cell.qualifier, cell.value.decode(), score)
+            for row in rows
+            for score in (decode_score_key(row.row),)
+            for cell in row.cells
+        ]
 
     def server_hint(self, topology) -> int:
         """Region server the cursor's next batch is expected to hit (the
@@ -223,10 +218,7 @@ class ISLRankJoin(RankJoinAlgorithm):
             while cursors[index].exhausted:
                 index = (index + 1) % arity
             batches += 1
-            for row in cursors[index].next_batch():
-                operator.add(index, row)
-                if operator.terminated():
-                    return batches
+            operator.feed(index, cursors[index].next_batch())
             index = (index + 1) % arity
         return batches
 
@@ -257,10 +249,9 @@ class ISLRankJoin(RankJoinAlgorithm):
             rounds += 1
             batches += len(active)
             for i, batch in zip(active, fetched):
-                for row in batch:
-                    operator.add(i, row)
-                    if operator.terminated():
-                        return batches, rounds
+                operator.feed(i, batch)
+                if operator.terminated():
+                    return batches, rounds
         return batches, rounds
 
 

@@ -10,6 +10,7 @@ first, exactly like HBase's KeyValue ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator
 
 
@@ -85,25 +86,29 @@ def resolve_versions(cells: Iterable[Cell]) -> list[Cell]:
     return visible
 
 
-def iter_visible(
+def iter_rows(
     sorted_cells: Iterable[Cell], families: "set[str] | None" = None
-) -> Iterator[Cell]:
-    """Streaming :func:`resolve_versions` over KeyValue-ordered cells.
+) -> "Iterator[RowResult]":
+    """Streaming :func:`resolve_versions` over KeyValue-ordered cells,
+    grouped into per-row results in the same pass.
 
     The input must already be sorted by :meth:`Cell.sort_key` (e.g. the
     output of a k-way merge of memtable and SSTable iterators), so all raw
     versions of one ``(row, family, qualifier)`` column are contiguous.  The
-    resolver then needs only one column group in memory at a time and yields
-    visible cells as soon as each group closes — this is what lets a
-    ``limit``-ed scan stop without materializing the region.
+    resolver then needs only one column group and one row in memory at a
+    time and yields each row as soon as the next one opens — this is what
+    lets a ``limit``-ed scan stop without materializing the region.
 
     Cells outside ``families`` are dropped before resolution (the family is
-    part of the column key, so no group straddles the filter).  A column
-    with one raw cell never forms a group: the cell is yielded, unless it is
-    a tombstone, as soon as the next one opens a different column.
+    part of the column key, so no group straddles the filter), and only
+    rows with at least one visible cell are yielded, so a family-restricted
+    scan never ships empty rows.  A column with one raw cell never forms a
+    group: the cell is kept, unless it is a tombstone, as soon as the next
+    one opens a different column.
     """
     first: "Cell | None" = None  # the open column's first (newest) raw cell
     group: "list[Cell] | None" = None  # all of them, once there are two
+    visible: list[Cell] = []  # the open row's visible cells so far
     for cell in sorted_cells:
         if families is not None and cell.family not in families:
             continue
@@ -121,35 +126,31 @@ def iter_visible(
             if group is not None:
                 chosen = _visible_of_column(group)
                 if chosen is not None:
-                    yield chosen
+                    visible.append(chosen)
                 group = None
             elif not first.is_delete:
-                yield first
+                visible.append(first)
+            if cell.row != first.row and visible:
+                yield RowResult(first.row, visible)
+                visible = []
         first = cell
+    if first is None:
+        return
     if group is not None:
         chosen = _visible_of_column(group)
         if chosen is not None:
-            yield chosen
-    elif first is not None and not first.is_delete:
-        yield first
+            visible.append(chosen)
+    elif not first.is_delete:
+        visible.append(first)
+    if visible:
+        yield RowResult(first.row, visible)
 
 
-def iter_row_results(visible: Iterable[Cell]) -> "Iterator[RowResult]":
-    """Group an already-resolved, sorted cell stream into per-row results
-    (only rows with at least one cell, so a family-restricted scan, filtered
-    in :func:`iter_visible`, never ships empty rows)."""
-    row = ""
-    cells: list[Cell] = []
-    for cell in visible:
-        if cell.row == row:
-            cells.append(cell)
-            continue
-        if cells:
-            yield RowResult(row, cells)
-        row = cell.row
-        cells = [cell]
-    if cells:
-        yield RowResult(row, cells)
+def iter_visible(
+    sorted_cells: Iterable[Cell], families: "set[str] | None" = None
+) -> Iterator[Cell]:
+    """The visible cells of :func:`iter_rows`, ungrouped (compaction)."""
+    return chain.from_iterable(row.cells for row in iter_rows(sorted_cells, families))
 
 
 @dataclass(slots=True)
@@ -189,4 +190,4 @@ class RowResult:
 
 def group_rows(cells: Iterable[Cell]) -> list[RowResult]:
     """Group already-resolved, sorted cells into per-row results."""
-    return list(iter_row_results(cells))
+    return list(iter_rows(cells))

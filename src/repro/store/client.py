@@ -18,8 +18,7 @@ from typing import Iterator
 from repro.cluster.simulation import SimContext
 from repro.errors import InvalidMutationError, TableExistsError, TableNotFoundError
 from repro.store.cell import Cell, RowResult
-from repro.store.filters import Filter
-from repro.store.scanner import RegionScanner
+from repro.store.scanner import RegionScanner, Scan
 from repro.store.table import StoreTable
 
 #: approximate request header size charged per RPC
@@ -68,29 +67,6 @@ class Delete:
     family: "str | None" = None
     qualifier: "str | None" = None
     timestamp: "int | None" = None
-
-
-@dataclass
-class Scan:
-    """A range scan with HBase-style row caching (batching).
-
-    ``caching`` is the number of rows fetched per RPC round trip — the
-    knob §4.2.3 tunes: larger batches amortize RPC latency at the price of
-    possibly shipping more rows than the algorithm ends up needing.
-    """
-
-    start_row: "str | None" = None
-    stop_row: "str | None" = None
-    families: "set[str] | None" = None
-    caching: int = 100
-    filter: "Filter | None" = None
-    limit: "int | None" = None
-    #: opt-in parallel scan: on a multi-server topology, regions are
-    #: scanned per region server concurrently and gathered back in key
-    #: order.  Only unlimited scans scatter — a ``limit`` relies on
-    #: serial early termination, and prefetching every region would
-    #: charge work the serial model never performs.
-    scatter: bool = False
 
 
 class Store:
@@ -431,7 +407,11 @@ class HTable:
 
     def scan(self, scan: Scan) -> Iterator[RowResult]:
         """Metered scan honoring batching, filters, and limits."""
-        return iter(RegionScanner(self, scan))
+        return iter(RegionScanner(self.table, self.ctx, scan))
+
+    def scan_batches(self, scan: Scan) -> Iterator[list[RowResult]]:
+        """The same scan, one RPC batch (a list of rows) at a time."""
+        return RegionScanner(self.table, self.ctx, scan).batches()
 
     def scan_all(self, scan: "Scan | None" = None) -> list[RowResult]:
         """Convenience: materialize a full scan."""

@@ -106,25 +106,20 @@ class MemTable:
     ) -> Iterator[Cell]:
         """Cells with ``start_row <= row < stop_row`` in KeyValue order.
 
-        Seeks to ``start_row`` by binary search and stops yielding at the
-        first cell past ``stop_row`` — a lazy source for merge scans.  The
-        cell list and its length are captured up front, so the iterator is a
-        stable snapshot even if cells are added (appended) or the buffer is
-        re-sorted (rebound) or drained while the scan is open.
+        Seeks to both ends by binary search — a lazy source for merge
+        scans.  The cell list and both bounds are captured up front, so the
+        iterator is a stable snapshot even if cells are added (appended) or
+        the buffer is re-sorted (rebound) or drained while the scan is open.
         """
-        cells = self._ensure_sorted()
-        lo = 0 if start_row is None else bisect_left(cells, start_row, key=_ROW_OF_CELL)
-        return self._iter_slice(cells, lo, len(cells), stop_row)
-
-    @staticmethod
-    def _iter_slice(
-        cells: "list[Cell]", lo: int, hi: int, stop_row: "str | None"
-    ) -> Iterator[Cell]:
-        for index in range(lo, hi):
-            cell = cells[index]
-            if stop_row is not None and cell.row >= stop_row:
-                return
-            yield cell
+        with self._lock:
+            cells = self._ensure_sorted()
+            hi = len(cells)
+        lo = 0
+        if start_row is not None:
+            lo = bisect_left(cells, start_row, 0, hi, key=_ROW_OF_CELL)
+        if stop_row is not None:
+            hi = bisect_left(cells, stop_row, lo, hi, key=_ROW_OF_CELL)
+        return map(cells.__getitem__, range(lo, hi))
 
     def drain(self) -> list[Cell]:
         """Return all cells sorted and clear the buffer (flush support)."""

@@ -14,16 +14,10 @@ from __future__ import annotations
 
 import heapq
 import threading
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import RegionError
-from repro.store.cell import (
-    Cell,
-    RowResult,
-    iter_row_results,
-    iter_visible,
-    resolve_versions,
-)
+from repro.store.cell import Cell, RowResult, iter_rows, resolve_versions
 from repro.store.memtable import MemTable
 from repro.store.sstable import SSTable, compact
 from repro.store.wal import WriteAheadLog
@@ -101,10 +95,6 @@ class Region:
             self.memtable.add(cell)
             if self.memtable.byte_size >= self.flush_threshold:
                 self.flush()
-
-    def apply_all(self, cells: Iterable[Cell]) -> None:
-        for cell in cells:
-            self.apply(cell)
 
     def flush(self) -> None:
         """Persist the memtable as a new immutable segment.
@@ -197,13 +187,11 @@ class Region:
     ) -> Iterator[RowResult]:
         """Resolved rows in ``[start_row, stop_row)`` within this region.
 
-        A generator: versions are resolved in one streaming pass over the
-        merged sources, so consuming only k rows (a ``limit``-ed scan) costs
-        O(k) cells, not O(region).
+        A generator: versions are resolved and rows grouped in one
+        streaming pass over the merged sources, so consuming only k rows (a
+        ``limit``-ed scan) costs O(k) cells, not O(region).
         """
-        return iter_row_results(
-            iter_visible(self.merged_cells(start_row, stop_row), families)
-        )
+        return iter_rows(self.merged_cells(start_row, stop_row), families)
 
     def raw_cell_count(self) -> int:
         """Raw stored cells (for dollar-cost accounting of full scans)."""

@@ -9,49 +9,84 @@ is what lets DRJN trade dollar cost for bandwidth (§7.1–7.2).
 Rows are pulled lazily from the region's streaming merge
 (:meth:`~repro.store.region.Region.scan_rows`): each RPC batch materializes
 only its ``caching`` rows, and a ``limit``-ed scan stops pulling from the
-merge the moment enough rows have shipped.  The simulated costs charged per
-batch are identical to the old materialize-then-batch scanner — only the
-wall-clock work changes.
+merge the moment enough rows have shipped.  :meth:`RegionScanner.batches`
+hands each RPC batch to the caller as the list it shipped; iterating the
+scanner flattens those lists into rows.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import TYPE_CHECKING, Iterator
+from dataclasses import dataclass
+from itertools import chain, islice
+from typing import Callable, Iterator
 
-from repro.store.cell import RowResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.store.client import HTable, Scan
+from repro.cluster.simulation import SimContext
+from repro.store.cell import Cell, RowResult
+from repro.store.filters import Filter
+from repro.store.region import Region
+from repro.store.table import StoreTable
 
 #: response framing overhead per scan RPC
 RESPONSE_OVERHEAD_BYTES = 48
+
+#: one server's scatter share: (round trips, shipped batches by region id)
+_ServerScan = tuple[int, dict[int, list[list[RowResult]]]]
+
+
+@dataclass
+class Scan:
+    """A range scan with HBase-style row caching (batching).
+
+    ``caching`` is the number of rows fetched per RPC round trip — the
+    knob §4.2.3 tunes: larger batches amortize RPC latency at the price of
+    possibly shipping more rows than the algorithm ends up needing.
+    """
+
+    start_row: "str | None" = None
+    stop_row: "str | None" = None
+    families: "set[str] | None" = None
+    caching: int = 100
+    filter: "Filter | None" = None
+    limit: "int | None" = None
+    #: opt-in parallel scan: on a multi-server topology, regions are
+    #: scanned per region server concurrently and gathered back in key
+    #: order.  Only unlimited scans scatter — a ``limit`` relies on
+    #: serial early termination, and prefetching every region would
+    #: charge work the serial model never performs.
+    scatter: bool = False
 
 
 class RegionScanner:
     """Iterates rows across a table's regions in key order, in RPC batches."""
 
-    def __init__(self, htable: "HTable", scan: "Scan") -> None:
-        self.htable = htable
+    def __init__(self, table: StoreTable, ctx: SimContext, scan: Scan) -> None:
+        self.table = table
+        self.ctx = ctx
         self.scan = scan
         self.rows_returned = 0
         self.rpc_round_trips = 0
 
     def __iter__(self) -> Iterator[RowResult]:
+        return chain.from_iterable(self.batches())
+
+    def batches(self) -> Iterator[list[RowResult]]:
+        """The scan's RPC batches in key order, each the list of rows it
+        shipped (cut short at the scan's ``limit``).  A batch is charged
+        when it is pulled, so a caller that stops early pays for no batch
+        it did not ask for."""
         scan = self.scan
-        table = self.htable.table
-        ctx = self.htable.ctx
+        ctx = self.ctx
         limit = scan.limit
         caching = max(1, scan.caching)
+        regions = self.table.regions_in_range(scan.start_row, scan.stop_row)
 
         if scan.scatter and limit is None and ctx.topology.parallel:
-            regions = table.regions_in_range(scan.start_row, scan.stop_row)
             groups = ctx.topology.assignments(regions)
             if len(groups) > 1:
                 yield from self._iter_scatter(regions, groups)
                 return
 
-        for region in table.regions_in_range(scan.start_row, scan.stop_row):
+        for region in regions:
             # region server streams its slice; each RPC pulls one batch
             rows = region.scan_rows(scan.start_row, scan.stop_row, scan.families)
             while True:
@@ -61,21 +96,21 @@ class RegionScanner:
                 if not batch:
                     break
                 self.rpc_round_trips += 1
-                for row in self._ship(batch):
-                    if limit is not None and self.rows_returned >= limit:
-                        return
-                    self.rows_returned += 1
-                    yield row
+                shipped = self._ship(batch)
+                if limit is not None:
+                    shipped = shipped[: limit - self.rows_returned]
+                self.rows_returned += len(shipped)
+                yield shipped
 
-    def _ship(self, batch: "list[RowResult]") -> "list[RowResult]":
+    def _ship(self, batch: list[RowResult]) -> list[RowResult]:
         """Charge one RPC batch — the server reads every row of it, the
         filter runs server-side, the matches cross the network — and
         return the rows shipped."""
         scan_filter = self.scan.filter
-        ctx = self.htable.ctx
-        scanned_cells = sum(len(row) for row in batch)
-        scanned_bytes = sum(row.serialized_size() for row in batch)
-        ctx.charge_server_read(scanned_bytes, scanned_cells, sequential=True)
+        ctx = self.ctx
+        cells = [cell for row in batch for cell in row.cells]
+        scanned_bytes = sum(map(Cell.serialized_size, cells))
+        ctx.charge_server_read(scanned_bytes, len(cells), sequential=True)
         if scan_filter is not None:
             shipped = [row for row in batch if scan_filter.matches(row)]
             shipped_bytes = sum(row.serialized_size() for row in shipped)
@@ -87,35 +122,33 @@ class RegionScanner:
         )
         return shipped
 
-    def _iter_scatter(self, regions, groups) -> Iterator[RowResult]:
+    def _iter_scatter(
+        self, regions: list[Region], groups: dict[int, list[Region]]
+    ) -> Iterator[list[RowResult]]:
         """Parallel scan: each region server streams its regions inside one
         scatter round (per-batch charges identical to the serial path,
-        captured into that server's queue), then rows are gathered back in
-        global key order.  ``regions`` is already key-ordered and each
+        captured into that server's queue), then batches are gathered back
+        in global key order.  ``regions`` is already key-ordered and each
         group preserves that order, so ordering falls out of re-walking
         ``regions`` against the per-region buffers."""
         from repro.cluster.executor import ScatterTask, scatter_gather
 
         scan = self.scan
-        ctx = self.htable.ctx
         caching = max(1, scan.caching)
 
-        def server_scan(server_regions):
-            def run() -> "tuple[int, dict[int, list[RowResult]]]":
+        def server_scan(server_regions: list[Region]) -> Callable[[], _ServerScan]:
+            def run() -> _ServerScan:
                 round_trips = 0
-                shipped_by_region: "dict[int, list[RowResult]]" = {}
+                shipped_by_region: dict[int, list[list[RowResult]]] = {}
                 for region in server_regions:
-                    collected: "list[RowResult]" = []
+                    shipped: list[list[RowResult]] = []
                     rows = region.scan_rows(
                         scan.start_row, scan.stop_row, scan.families
                     )
-                    while True:
-                        batch = list(islice(rows, caching))
-                        if not batch:
-                            break
+                    while batch := list(islice(rows, caching)):
                         round_trips += 1
-                        collected.extend(self._ship(batch))
-                    shipped_by_region[id(region)] = collected
+                        shipped.append(self._ship(batch))
+                    shipped_by_region[id(region)] = shipped
                 return round_trips, shipped_by_region
 
             return run
@@ -124,12 +157,14 @@ class RegionScanner:
             ScatterTask(server_id, server_scan(server_regions))
             for server_id, server_regions in groups.items()
         ]
-        gathered = scatter_gather(ctx, tasks, label="scan")
-        rows_by_region: "dict[int, list[RowResult]]" = {}
+        gathered: list[_ServerScan] = scatter_gather(
+            self.ctx, tasks, label="scan"
+        )
+        batches_by_region: dict[int, list[list[RowResult]]] = {}
         for round_trips, shipped_by_region in gathered:
             self.rpc_round_trips += round_trips
-            rows_by_region.update(shipped_by_region)
+            batches_by_region.update(shipped_by_region)
         for region in regions:
-            for row in rows_by_region.get(id(region), []):
-                self.rows_returned += 1
-                yield row
+            for shipped in batches_by_region.get(id(region), []):
+                self.rows_returned += len(shipped)
+                yield shipped

@@ -75,9 +75,7 @@ class SSTable:
         yields one cell at a time, so an early-terminating merge scan touches
         O(cells consumed), not O(range)."""
         lo, hi = self._range_bounds(start_row, stop_row)
-        cells = self._cells
-        for index in range(lo, hi):
-            yield cells[index]
+        return map(self._cells.__getitem__, range(lo, hi))
 
 
 def compact(sstables: "list[SSTable]", drop_deletes: bool = True) -> SSTable:

@@ -166,10 +166,6 @@ class StoreTable:
         for region in self.regions:
             region.flush()
 
-    def compact_all(self, major: bool = True) -> None:
-        for region in self.regions:
-            region.compact(major=major)
-
     # -- unmetered access (ground truth, tests, reporting) --------------------
 
     def read_row(self, row: str, families: "set[str] | None" = None) -> RowResult:

@@ -1,12 +1,15 @@
 """The HRJN operator (§4.2.1) — one operator at every arity."""
 
+from bisect import insort
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.functions import ProductFunction, SumFunction
-from repro.common.types import ScoredRow, top_k
-from repro.core.hrjn import HRJNOperator, hrjn_join
+from repro.common.functions import ProductFunction, SumFunction, WeightedSumFunction
+from repro.common.types import JoinTuple, ScoredRow, top_k
+from repro.core.hrjn import SCORE_EPSILON, HRJNOperator, hrjn_join
 from repro.core.isl import ISLRankJoin
 from repro.errors import QueryError
 from repro.relational.multiway import full_join_multi
@@ -153,11 +156,11 @@ JOIN_VALUE = st.sampled_from(["", "a", "b", "c", "zz"])
 
 
 @st.composite
-def relation_sets(draw, min_arity=2, max_arity=4):
+def relation_sets(draw, min_arity=2, max_arity=4, score=GRID_SCORE):
     arity = draw(st.integers(min_value=min_arity, max_value=max_arity))
     relations = []
     for side in range(arity):
-        specs = draw(st.lists(st.tuples(JOIN_VALUE, GRID_SCORE), max_size=9))
+        specs = draw(st.lists(st.tuples(JOIN_VALUE, score), max_size=9))
         relations.append(rows(specs, prefix=f"i{side}_"))
     return relations
 
@@ -245,3 +248,149 @@ class TestDifferential:
             assert produced_total == len(everything)
             assert operator._results == top_k(everything, 2 * k + 8)
             index = (index + 1) % arity
+
+
+# ---------------------------------------------------------------------------
+# feed: one call per batch against the per-tuple loop it replaced
+# ---------------------------------------------------------------------------
+
+
+class _PerTupleHRJN:
+    """The per-tuple operator ``feed`` replaced, kept as the reference:
+    each tuple is observed and joined on its own, and the termination test
+    recomputes the threshold (``arity`` calls of ``f``) after every one."""
+
+    def __init__(self, arity, function, k):
+        self.function = function
+        self.k = k
+        self.capacity = 2 * k + 8
+        self.seen = [{} for _ in range(arity)]
+        self.tops = [None] * arity
+        self.lasts = [None] * arity
+        self.counts = [0] * arity
+        self.results = []
+
+    def add(self, index, row):
+        last = self.lasts[index]
+        if last is None:
+            self.tops[index] = row.score
+        elif row.score > last + SCORE_EPSILON:
+            raise QueryError("unsorted")
+        self.lasts[index] = row.score
+        self.counts[index] += 1
+        self.seen[index].setdefault(row.join_value, []).append(row)
+        partners = []
+        for other, seen in enumerate(self.seen):
+            if other != index:
+                if not seen.get(row.join_value):
+                    return
+                partners.append(seen[row.join_value])
+        for combination in product(*partners):
+            joined = (*combination[:index], row, *combination[index:])
+            scores = tuple(r.score for r in joined)
+            score = self.function.combine(scores)
+            if len(self.results) >= self.capacity and score < self.results[-1].score:
+                continue
+            insort(
+                self.results,
+                JoinTuple(tuple(r.row_key for r in joined), row.join_value, score, scores),
+                key=JoinTuple.sort_key,
+            )
+            del self.results[self.capacity:]
+
+    def threshold(self):
+        if None in self.tops:
+            return None
+        best = None
+        for i, last in enumerate(self.lasts):
+            candidate = self.function.combine([*self.tops[:i], last, *self.tops[i + 1:]])
+            if best is None or candidate > best:
+                best = candidate
+        return best
+
+    def terminated(self):
+        threshold = self.threshold()
+        if len(self.results) < self.k or threshold is None:
+            return False
+        return self.results[self.k - 1].score >= threshold - SCORE_EPSILON
+
+
+FUNCTIONS = {
+    "sum": lambda arity: SumFunction(),
+    "product": lambda arity: ProductFunction(),
+    "weighted": lambda arity: WeightedSumFunction([0.5 + i for i in range(arity)]),
+}
+
+
+#: five scores: most tuples tie with their input's previous one, so the
+#: termination test often fires on a tuple that leaves the threshold put
+COARSE_SCORE = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def batched_feeds(draw):
+    """Score-sorted inputs at arity 2-4 with ties within and across inputs
+    and duplicate join values, and a drawn order of (input, batch size)
+    feeds."""
+    score = draw(st.sampled_from([GRID_SCORE, COARSE_SCORE]))
+    relations = [
+        sorted(relation, key=lambda r: -r.score)
+        for relation in draw(relation_sets(score=score))
+    ]
+    positions = [0] * len(relations)
+    feeds = []
+    while any(p < len(r) for p, r in zip(positions, relations)):
+        index = draw(st.sampled_from(
+            [i for i, r in enumerate(relations) if positions[i] < len(r)]
+        ))
+        size = draw(st.integers(min_value=1, max_value=5))
+        feeds.append((index, relations[index][positions[index]:positions[index] + size]))
+        positions[index] += size
+    return relations, feeds
+
+
+class TestFeed:
+    @given(batched_feeds(), st.integers(min_value=1, max_value=60),
+           st.sampled_from(sorted(FUNCTIONS)))
+    @settings(max_examples=300, deadline=None)
+    def test_feed_matches_per_tuple_loop(self, drawn, k, function_name):
+        """Per batch: the same tuples consumed, and afterwards the same
+        buffer, depth and threshold as adding tuple by tuple and testing
+        termination after each; k runs past the join size."""
+        relations, feeds = drawn
+        function = FUNCTIONS[function_name](len(relations))
+        operator = HRJNOperator(len(relations), function, k)
+        reference = _PerTupleHRJN(len(relations), function, k)
+        for index, batch in feeds:
+            expected = 0
+            for row in batch:
+                reference.add(index, row)
+                expected += 1
+                if reference.terminated():
+                    break
+            assert operator.feed(index, batch) == expected
+            assert operator.results == reference.results[:k]
+            assert operator.tuples_seen() == tuple(reference.counts)
+            assert operator.threshold() == reference.threshold()
+            assert operator.terminated() == reference.terminated()
+            if operator.terminated():
+                break
+
+    def test_feed_stops_mid_batch_and_add_counts_combinations(self):
+        operator = pair_operator(1)
+        assert operator.add(LEFT, ScoredRow("l1", "a", 0.9)) == 0
+        assert operator.add(RIGHT, ScoredRow("r1", "a", 0.9)) == 1
+        # the first tuple of the batch ends the join: the rest stay unread
+        operator = pair_operator(1)
+        operator.feed(LEFT, rows([("a", 0.9)], prefix="l"))
+        batch = rows([("a", 0.9), ("b", 0.5), ("c", 0.4)])
+        assert operator.feed(RIGHT, batch) == 1
+        assert operator.terminated()
+        assert operator.tuples_seen() == (1, 1)
+
+    def test_feed_rejects_unsorted_input(self):
+        operator = pair_operator(1)
+        with pytest.raises(QueryError):
+            operator.feed(LEFT, rows([("a", 0.5), ("b", 0.9)]))
+        with pytest.raises(QueryError):
+            operator.feed(2, rows([("a", 0.5)]))

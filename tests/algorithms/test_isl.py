@@ -1,11 +1,19 @@
 """ISL: index layout (Fig. 3) and coordinator query processing (§4.2)."""
 
+from itertools import chain
+
 import pytest
 
+from repro.cluster.costmodel import EC2_PROFILE
 from repro.common.serialization import decode_score_key, decode_str
+from repro.common.types import ScoredRow
+from repro.core import isl
 from repro.core.indexes import ISL_TABLE
 from repro.core.isl import ISLRankJoin
+from repro.platform import Platform
 from repro.relational.binding import load_relation
+from repro.tpch.generator import generate
+from repro.tpch.loader import load_tpch
 from repro.tpch.queries import q1, q2
 
 
@@ -94,4 +102,74 @@ class TestBatching:
         lineitem_rows = len(fresh_setup.data.lineitems)
         assert algorithm._batch_rows_for(query.right.signature) == max(
             8, int(lineitem_rows * 0.01)
+        )
+
+
+class _PerRowCursor(isl._SideCursor):
+    """The cursor before whole RPC batches were handed over, kept as the
+    reference: it pulls index rows one at a time off the flattened scan."""
+
+    def __init__(self, platform, signature, batch_rows):
+        super().__init__(platform, signature, batch_rows)
+        self._rows = chain.from_iterable(self._batches)
+
+    def next_batch(self):
+        batch = []
+        for _ in range(self.batch_rows):
+            row = next(self._rows, None)
+            if row is None:
+                self.exhausted = True
+                break
+            self._last_row_key = row.row
+            score = decode_score_key(row.row)
+            batch.extend(
+                ScoredRow(cell.qualifier, decode_str(cell.value), score)
+                for cell in row.cells
+            )
+        return batch
+
+
+class TestRegionBoundary:
+    """A cursor batch that ends inside the next region's first RPC batch
+    keeps the rest of that RPC batch for the next cursor batch."""
+
+    @staticmethod
+    def _split_index(num_servers, query):
+        """A loaded platform whose ISL index spans four regions, and a batch
+        size that divides neither input's row count in the first one."""
+        platform = Platform(EC2_PROFILE, num_servers=num_servers)
+        load_tpch(platform.store, generate(micro_scale=0.05, seed=7))
+        algorithm = ISLRankJoin(platform)
+        algorithm.prepare(query)
+        index = platform.store.backing(ISL_TABLE)
+        while len(index.regions) < 4:
+            index._try_split(max(index.regions, key=lambda r: r.raw_cell_count()))
+        first = [
+            list(index.regions[0].scan_rows(families={binding.signature}))
+            for binding in query.inputs
+        ]
+        algorithm.batch_rows = next(
+            b for b in range(3, 20) if all(len(rows) % b for rows in first)
+        )
+        return algorithm, first
+
+    @pytest.mark.parametrize("num_servers", [1, 4], ids=["serial", "scatter"])
+    @pytest.mark.parametrize("query", [q1(40), q2(40)], ids=["q1", "q2"])
+    def test_batched_cursor_matches_per_row_cursor(
+        self, num_servers, query, monkeypatch
+    ):
+        algorithm, first = self._split_index(num_servers, query)
+        batched = algorithm.execute(query)
+        # a twin platform, so both runs start from the same simulated clock
+        reference, _ = self._split_index(num_servers, query)
+        monkeypatch.setattr(isl, "_SideCursor", _PerRowCursor)
+        per_row = reference.execute(query)
+
+        assert batched.tuples == per_row.tuples
+        assert batched.details == per_row.details
+        assert batched.metrics == per_row.metrics
+        # some input really read past its first region
+        assert any(
+            batched.details[f"tuples_seen_{i}"] > sum(len(row) for row in rows)
+            for i, rows in enumerate(first)
         )

@@ -23,6 +23,8 @@ import pytest
 TYPED_CORE = [
     "repro.common.types",
     "repro.store.cell",
+    "repro.store.scanner",
+    "repro.core.hrjn",
     "repro.query.spec",
     "repro.query.results",
     "repro.serving.plan_cache",

@@ -9,6 +9,7 @@ from repro.store.cell import (
     Cell,
     RowResult,
     group_rows,
+    iter_rows,
     iter_visible,
     resolve_versions,
 )
@@ -156,6 +157,23 @@ class TestStreamingResolver:
         ]
         ordered = sorted(cells, key=Cell.sort_key)
         assert list(iter_visible(ordered, families)) == expected
+
+    @settings(max_examples=300)
+    @given(raw_cells(), family_filters)
+    def test_fused_resolver_matches_resolve_versions(self, cells, families):
+        """The fused resolver's rows are the reference's visible cells,
+        grouped by row, with no empty row."""
+        expected = [
+            RowResult(row, [
+                c for c in resolve_versions(cells)
+                if c.row == row and (families is None or c.family in families)
+            ])
+            for row in ROWS
+        ]
+        ordered = sorted(cells, key=Cell.sort_key)
+        assert list(iter_rows(ordered, families)) == [
+            row for row in expected if not row.empty
+        ]
 
     @settings(max_examples=200)
     @given(raw_cells(), family_filters, st.sets(st.integers(0, 25)))

@@ -1,7 +1,10 @@
 """The store client: tables, puts/gets/deletes/scans, metering."""
 
+from itertools import chain
+
 import pytest
 
+from repro.cluster.costmodel import EC2_PROFILE
 from repro.common.serialization import encode_float
 from repro.errors import (
     ColumnFamilyNotFoundError,
@@ -10,6 +13,7 @@ from repro.errors import (
     TableNotFoundError,
 )
 from repro.store.client import Delete, Get, Put, Scan
+from repro.platform import Platform
 from repro.store.filters import ScoreThresholdFilter
 
 
@@ -236,3 +240,65 @@ class TestScans:
         big_batches = ctx.metrics.snapshot()
         assert small_batches.sim_time_s > big_batches.sim_time_s
         assert small_batches.kv_reads == big_batches.kv_reads
+
+
+class TestScanBatches:
+    """``scan_batches`` hands over the RPC batches ``scan`` flattens: the
+    same rows, charged the same, whatever the scan's shape."""
+
+    SCANS = {
+        "full": Scan(),
+        "small_batches": Scan(caching=3),
+        "range": Scan(start_row="r02", stop_row="r17", caching=4),
+        "limit_mid_batch": Scan(caching=4, limit=6),
+        "limit_past_end": Scan(caching=7, limit=50),
+        "one_family": Scan(families={"e"}, caching=2),
+        "filter": Scan(filter=ScoreThresholdFilter("d", "score", 0.5), caching=3),
+        "filter_and_limit": Scan(
+            filter=ScoreThresholdFilter("d", "score", 0.3), caching=2, limit=5
+        ),
+        "scatter": Scan(caching=3, scatter=True),
+    }
+
+    @pytest.fixture(params=[1, 3], ids=["one_server", "three_servers"])
+    def mixed(self, request):
+        """Three regions, each with a flushed segment under a memtable of
+        overwrites, new rows and tombstones."""
+        platform = Platform(EC2_PROFILE, num_servers=request.param)
+        htable = platform.store.create_table(
+            "t", {"d", "e"}, split_keys=["r07", "r14"]
+        )
+        for i in range(0, 20, 2):
+            htable.put(
+                Put(f"r{i:02d}")
+                .add("d", "score", encode_float(i / 20))
+                .add("e", "tag", b"old")
+            )
+        htable.flush()
+        for i in range(0, 20, 3):
+            htable.put(Put(f"r{i:02d}").add("d", "score", encode_float(1 - i / 20)))
+        for i in (4, 10, 16):
+            htable.delete(Delete(f"r{i:02d}", "e", "tag"))
+        htable.delete(Delete("r08"))
+        return htable
+
+    @pytest.mark.parametrize("name", sorted(SCANS))
+    def test_batches_flatten_to_the_scan(self, mixed, name):
+        scan = self.SCANS[name]
+        metrics = mixed.store.ctx.metrics
+        metrics.reset()
+        rows = list(mixed.scan(scan))
+        row_bill = metrics.snapshot()
+        metrics.reset()
+        batches = list(mixed.scan_batches(scan))
+        assert list(chain.from_iterable(batches)) == rows
+        assert metrics.snapshot() == row_bill
+        assert all(len(batch) <= scan.caching for batch in batches)
+        # and the rows are the unmetered view's, cut the way the scan says
+        expected = [
+            row for row in mixed.table.all_rows(scan.families)
+            if (scan.start_row is None or row.row >= scan.start_row)
+            and (scan.stop_row is None or row.row < scan.stop_row)
+            and (scan.filter is None or scan.filter.matches(row))
+        ]
+        assert rows == expected[: scan.limit]
