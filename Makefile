@@ -90,7 +90,8 @@ lint-changed:
 docs-check:
 	$(PYTHON) tools/docs_check.py
 
-## run every example script end to end
+## run every example script end to end (docs-check fails when an
+## examples/*.py is missing here)
 examples:
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/explain_plan.py
@@ -98,5 +99,6 @@ examples:
 	$(PYTHON) examples/search_engine_logs.py
 	$(PYTHON) examples/online_updates.py
 	$(PYTHON) examples/multiway_trends.py
+	$(PYTHON) examples/full_text_search.py
 
 all: test lint

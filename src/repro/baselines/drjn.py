@@ -33,7 +33,7 @@ from repro.sketches.hashing import hash_to_range
 from repro.sketches.histogram import bucket_bounds, score_to_bucket
 from repro.store.cell import RowResult
 from repro.store.client import Get, Put, Scan
-from repro.store.filters import Filter
+from repro.store.filters import ScoreBandFilter
 
 SCORE_EPSILON = 1e-12
 META_ROW = "meta"
@@ -45,30 +45,6 @@ DEFAULT_JOIN_PARTITIONS = 64
 
 def _score_row_key(bucket: int) -> str:
     return f"{bucket:05d}"
-
-
-class _ScoreBandFilter(Filter):
-    """Server-side filter keeping rows with ``low <= score < high``.
-
-    The incremental pull bands avoid re-shipping tuples already pulled in
-    earlier rounds (the scan itself still reads everything — that cost is
-    inherent to DRJN's design).
-    """
-
-    def __init__(self, family: str, qualifier: str, low: float, high: "float | None") -> None:
-        self.family = family
-        self.qualifier = qualifier
-        self.low = low
-        self.high = high
-
-    def matches(self, row: RowResult) -> bool:
-        raw = row.value(self.family, self.qualifier)
-        if raw is None:
-            return False
-        score = decode_float(raw)
-        if score < self.low:
-            return False
-        return self.high is None or score < self.high
 
 
 class DRJNRankJoin(RankJoinAlgorithm):
@@ -190,7 +166,7 @@ class DRJNRankJoin(RankJoinAlgorithm):
         temporary table (scans the entire base table to find them)."""
         platform = self.platform
         signature = binding.signature
-        band = _ScoreBandFilter(binding.family, binding.score_column, low, high)
+        band = ScoreBandFilter(binding.family, binding.score_column, low, high)
 
         def map_fn(row_key: str, row: RowResult, task: TaskContext) -> None:
             if not band.matches(row):

@@ -51,12 +51,6 @@ class SimCluster:
         """Round-robin worker selection for region/block placement."""
         return self.workers[next(self._placement_cycle)]
 
-    def worker_by_id(self, node_id: int) -> Node:
-        for node in self.workers:
-            if node.node_id == node_id:
-                return node
-        raise KeyError(f"no worker with node_id {node_id}")
-
     @property
     def total_task_slots(self) -> int:
         return len(self.workers) * self.cost_model.task_slots_per_node
@@ -104,10 +98,6 @@ class SimContext:
         with self._timestamp_lock:
             self._timestamp += 1
             return self._timestamp
-
-    @property
-    def current_timestamp(self) -> int:
-        return self._timestamp
 
     # -- convenience charging helpers -------------------------------------
 

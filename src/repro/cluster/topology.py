@@ -58,7 +58,7 @@ class RegionBalancer:
         ]
 
 
-class LocalityBalancer(RegionBalancer):
+class LocalityBalancer(RegionBalancer):  # lint: disable=RL501 (the alternative layout golden_four_server.json pins)
     """Contiguous-block assignment: adjacent workers share a server.
 
     Region placement round-robins over the worker list, so a small batch

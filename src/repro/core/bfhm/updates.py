@@ -33,7 +33,6 @@ from repro.core.bfhm.bucket import (
     BFHMBucketData,
     BFHMMeta,
     blob_row_key,
-    decode_bucket_list,
     encode_blob,
     encode_bucket_list,
     encode_reverse_value,
@@ -144,18 +143,6 @@ class BFHMUpdateManager:
 
     # -- mutation path (intercepted by the maintenance layer) --------------------
 
-    def apply_insert(
-        self, signature: str, row_key: str, join_value: str, score: float,
-        timestamp: "int | None" = None,
-    ) -> int:
-        """Insert one tuple: reverse mapping + insertion record.
-
-        Returns the bucket the tuple landed in.
-        """
-        return self.apply_insert_batch(
-            signature, [(row_key, join_value, score)], timestamp
-        )[0]
-
     def apply_insert_batch(
         self,
         signature: str,
@@ -207,16 +194,6 @@ class BFHMUpdateManager:
         htable.put_batch([*reverse_puts.values(), *record_puts.values()])
         self._extend_meta_buckets(signature, set(buckets))
         return buckets
-
-    def apply_delete(
-        self, signature: str, row_key: str, join_value: str, score: float,
-        timestamp: "int | None" = None,
-    ) -> int:
-        """Delete one tuple: drop its reverse mapping, add a tombstone
-        record for the blob replay."""
-        return self.apply_delete_batch(
-            signature, [(row_key, join_value, score)], timestamp
-        )[0]
 
     def apply_delete_batch(
         self,

@@ -56,10 +56,6 @@ class InvalidMutationError(StoreError):
     """A Put/Delete was malformed (empty row key, no cells, bad timestamp)."""
 
 
-class FilterError(StoreError):
-    """A server-side filter was misconfigured."""
-
-
 class MapReduceError(ReproError):
     """Base class for MapReduce framework errors."""
 
@@ -176,10 +172,6 @@ class WorkerCrashError(MaintenanceError):
         )
         self.point = point
         self.occurrence = occurrence
-
-
-class DeadLetterError(MaintenanceError):
-    """A logged mutation exhausted its retries and was dead-lettered."""
 
 
 class SketchError(ReproError):

@@ -12,14 +12,12 @@ from repro.maintenance.faults import (
 from repro.maintenance.interceptor import MaintainedRelation
 from repro.maintenance.worker import (
     ASYNC_RETRY_POLICY,
-    BackgroundDrainer,
     MaintenancePipeline,
     TableStaleness,
 )
 
 __all__ = [
     "ASYNC_RETRY_POLICY",
-    "BackgroundDrainer",
     "CrashInjector",
     "DrainPoint",
     "FaultPlan",

@@ -38,8 +38,7 @@ enforces wait/bounded/shed policies against it.
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.errors import MaintenanceError, WALError
@@ -489,64 +488,3 @@ class MaintenancePipeline:
                     table: self._pending.get(table, 0) for table in self.tables
                 },
             }
-
-
-class BackgroundDrainer:
-    """A daemon thread that keeps a pipeline drained.
-
-    When a :class:`~repro.serving.server.QueryServer` is given, every
-    drain batch runs inside ``server.maintenance(...)`` — taking the
-    write-preferring lock so queries never observe a half-applied batch,
-    and bumping the drained tables' statistics versions on release.
-    """
-
-    def __init__(
-        self,
-        pipeline: MaintenancePipeline,
-        server: "Any | None" = None,
-        interval_s: float = 0.005,
-    ) -> None:
-        self.pipeline = pipeline
-        self.server = server
-        self.interval_s = interval_s
-        self._stop = threading.Event()
-        self._thread: "threading.Thread | None" = None
-
-    def _drain_once(self) -> int:
-        if self.server is not None:
-            with self.server.maintenance(*self.pipeline.tables):
-                return self.pipeline.drain_batch()
-        return self.pipeline.drain_batch()
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            try:
-                progressed = self._drain_once()
-            except MaintenanceError:
-                return  # crashed or halted: stop draining until recovery
-            if progressed == 0:
-                self._stop.wait(self.interval_s)
-
-    def start(self) -> "BackgroundDrainer":
-        """Start the drain thread (idempotent); returns self."""
-        if self._thread is None or not self._thread.is_alive():
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._run, name="maintenance-drain", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def stop(self, drain: bool = True, timeout_s: float = 10.0) -> None:
-        """Stop the thread; ``drain=True`` first waits for an empty backlog."""
-        if drain:
-            # real-thread pacing of the drain loop — never feeds the
-            # simulated cost model, so wall-clock use here is sound
-            deadline = time.monotonic() + timeout_s  # lint: disable=RL201 (real-thread shutdown deadline, not simulated time)
-            while self.pipeline.lag() > 0 and time.monotonic() < deadline:  # lint: disable=RL201 (real-thread shutdown deadline, not simulated time)
-                if self.pipeline.crashed:
-                    break
-                time.sleep(self.interval_s)  # lint: disable=RL201 (real-thread drain pacing, not simulated time)
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=timeout_s)

@@ -101,8 +101,6 @@ class RankJoinEngine:
     def multiway_algorithm(self, name: str):
         """The (cached) arity >= 3 strategy instance for ``name``."""
         key = name.lower()
-        if key in self._multiway:  # explicitly registered instances win,
-            return self._multiway[key]  # even under a display-name alias
         key = MULTIWAY_ALIASES.get(key, key)
         if key in self._multiway:
             return self._multiway[key]
@@ -122,13 +120,8 @@ class RankJoinEngine:
 
     def register(self, name: str, algorithm: RankJoinAlgorithm) -> None:
         """Plug in a custom or specially configured *two-way* algorithm
-        instance (see :meth:`register_multiway` for arity >= 3)."""
-        self._algorithms[name.lower()] = algorithm
-
-    def register_multiway(self, name: str, algorithm: RankJoinAlgorithm) -> None:
-        """Plug in a custom or specially configured arity >= 3 strategy
         instance."""
-        self._multiway[name.lower()] = algorithm
+        self._algorithms[name.lower()] = algorithm
 
     #: algorithm auto mode falls back to when planning is impossible
     #: (e.g. an empty relation has no statistics to price from) — matches

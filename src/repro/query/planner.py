@@ -694,7 +694,7 @@ class QueryPlanner:
             objective, tuple(names),
         )
         shared = self.plan_cache
-        versions = epoch = None
+        versions = None
         if shared is not None:
             hit = shared.lookup(key)
             if hit is not None:
@@ -706,7 +706,6 @@ class QueryPlanner:
             versions = shared.versions_for(
                 tuple(binding.table for binding in query.inputs)
             )
-            epoch = self.catalog.epoch
         else:
             # popped either way: a hit goes back in as the newest entry,
             # a stale plan is replaced below
@@ -746,7 +745,7 @@ class QueryPlanner:
             servers=self._fanout,
         )
         if shared is not None:
-            shared.store(key, plan, versions, epoch)
+            shared.store(key, plan, versions)
         else:
             if len(self._plan_cache) >= self.PLAN_CACHE_LIMIT:
                 # the first key is the one planned or hit longest ago

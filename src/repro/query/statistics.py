@@ -127,10 +127,6 @@ class JoinProfile:
     #: join partition -> distinct join values across the whole relation
     partition_distinct: "dict[int, int]"
 
-    def bucket_vector(self, bucket: int) -> "dict[int, tuple[int, int]] | None":
-        """Partition vector of one score bucket (None when empty)."""
-        return self.cells.get(bucket)
-
 
 def partition_universe(left: "JoinProfile", right: "JoinProfile") -> "dict[int, int]":
     """Join partition -> distinct join values it can hold when ``left``
@@ -199,10 +195,6 @@ class TableStatistics:
     @property
     def avg_row_bytes(self) -> float:
         return self.total_row_bytes / self.row_count if self.row_count else 0.0
-
-    @property
-    def avg_cells_per_row(self) -> float:
-        return self.total_cells / self.row_count if self.row_count else 0.0
 
     def bucket_counts(self) -> "list[int]":
         """Tuple count per score bucket, bucket 0 = highest scores."""
@@ -438,9 +430,6 @@ class StatisticsCatalog:
         #: per-base-table invalidation counters — lets a shared plan cache
         #: invalidate only the plans whose input tables actually changed
         self._table_versions: dict[str, int] = {}  # guarded-by: _lock
-        #: bumped only by :meth:`invalidate_all` (catalog-wide resets such
-        #: as an engine rebuild); plan-cache entries also validate this
-        self.epoch = 0  # guarded-by: _lock
         #: duck-typed async-maintenance hookup: a callable mapping a base
         #: table name to a staleness snapshot (``None`` when the table has
         #: no async pipeline) — see
@@ -536,13 +525,6 @@ class StatisticsCatalog:
             self.version += 1
             self._table_versions[table] = self._table_versions.get(table, 0) + 1
             return len(stale)
-
-    def invalidate_all(self) -> None:
-        """Drop every cached entry (and mark derived plans stale)."""
-        with self._lock:
-            self._cache.clear()
-            self.version += 1
-            self.epoch += 1
 
     def on_store_drop(self, table_name: str, family: "str | None") -> None:
         """Store listener: a family (or whole table) was dropped, so

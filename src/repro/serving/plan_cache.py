@@ -8,8 +8,8 @@ shared by every worker thread, as long as the cache can tell when the
 underlying statistics moved.
 
 Entries are keyed by the canonical query shape and validated against the
-:class:`~repro.query.statistics.StatisticsCatalog`'s per-table versions
-(plus its global epoch): any maintenance mutation or index build/drop
+:class:`~repro.query.statistics.StatisticsCatalog`'s per-table versions:
+any maintenance mutation or index build/drop
 bumps the versions of the tables it touched through the existing
 interceptor/statistics hooks, which lazily invalidates exactly the cached
 plans that priced those tables.  Eviction is LRU under a fixed capacity.
@@ -34,10 +34,8 @@ DEFAULT_CAPACITY = 128
 class CatalogProtocol(Protocol):
     """What the cache needs from a statistics catalog (duck-typed so the
     serving layer never imports the query layer): per-table monotonic
-    versions plus a global epoch.  ``applied_watermark`` is probed with
-    ``getattr`` and therefore deliberately absent here."""
-
-    epoch: int
+    versions.  ``applied_watermark`` is probed with ``getattr`` and
+    therefore deliberately absent here."""
 
     def table_version(self, name: str) -> int:
         """Monotonic invalidation counter of base table ``name``."""
@@ -49,7 +47,6 @@ class CachedPlan:
     """One cached planner decision plus the versions it was priced at."""
 
     plan: Any
-    epoch: int
     #: (table name, statistics version at planning time) per input table
     table_versions: "tuple[tuple[str, int], ...]"
     #: (table name, async-maintenance applied-sequence watermark at
@@ -66,8 +63,7 @@ class PlanCache:
     validation against a statistics catalog.
 
     The ``catalog`` is duck-typed: it must expose ``table_version(name)``
-    and an ``epoch`` attribute (see
-    :class:`~repro.query.statistics.StatisticsCatalog`).  ``capacity=0``
+    (see :class:`~repro.query.statistics.StatisticsCatalog`).  ``capacity=0``
     disables caching (every lookup misses) — used as the "replan every
     query" baseline in the serving benchmark.
     """
@@ -103,8 +99,6 @@ class PlanCache:
         return tuple((table, applied(table)) for table in tables)
 
     def _current(self, entry: CachedPlan) -> bool:
-        if entry.epoch != self.catalog.epoch:
-            return False
         if not all(
             self.catalog.table_version(table) == version
             for table, version in entry.table_versions
@@ -141,17 +135,13 @@ class PlanCache:
         key: Hashable,
         plan: Any,
         versions: "tuple[tuple[str, int], ...]",
-        epoch: "int | None" = None,
     ) -> bool:
         """Insert ``plan`` unless the statistics moved since ``versions``
         were snapshotted; returns whether the plan was cached."""
         if self.capacity <= 0:
             return False
-        if epoch is None:
-            epoch = self.catalog.epoch
         entry = CachedPlan(
             plan=plan,
-            epoch=epoch,
             table_versions=versions,
             watermarks=self.watermarks_for([table for table, _ in versions]),
         )

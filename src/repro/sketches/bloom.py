@@ -1,11 +1,9 @@
 """Bloom filter variants.
 
-Three filters are provided:
+Two filters are provided:
 
-* :class:`BloomFilter` — the classic k-hash bitmap filter (Bloom, 1970),
-  used in tests and available as a general substrate;
-* :class:`CountingBloomFilter` — per-position counters supporting deletion
-  and multiplicity estimation;
+* :class:`CountingBloomFilter` — a Bloom filter (Bloom, 1970) with
+  per-position counters supporting deletion and multiplicity estimation;
 * :class:`SingleHashBloomFilter` — the single-hash-function flavour the
   BFHM bucket builds on (§5.1): one hash per item keeps the per-position
   false-positive accounting simple (the α compensation of §5.3 assumes it)
@@ -21,23 +19,6 @@ from repro.errors import CounterUnderflowError, SketchError
 from repro.sketches.hashing import double_hashes, hash_to_range
 
 
-def optimal_bit_count(capacity: int, fp_rate: float) -> int:
-    """Bits needed for ``capacity`` items at ``fp_rate`` (classic formula)."""
-    if capacity <= 0:
-        raise SketchError(f"capacity must be positive: {capacity}")
-    if not 0.0 < fp_rate < 1.0:
-        raise SketchError(f"fp_rate must be in (0, 1): {fp_rate}")
-    bits = -capacity * math.log(fp_rate) / (math.log(2) ** 2)
-    return max(8, math.ceil(bits))
-
-
-def optimal_hash_count(bit_count: int, capacity: int) -> int:
-    """Optimal number of hash functions ``k = (m/n) ln 2``."""
-    if capacity <= 0:
-        return 1
-    return max(1, round(bit_count / capacity * math.log(2)))
-
-
 def single_hash_bit_count(capacity: int, fp_rate: float) -> int:
     """Bits for a *single-hash* filter at ``fp_rate``.
 
@@ -50,55 +31,6 @@ def single_hash_bit_count(capacity: int, fp_rate: float) -> int:
     if not 0.0 < fp_rate < 1.0:
         raise SketchError(f"fp_rate must be in (0, 1): {fp_rate}")
     return max(8, math.ceil(-capacity / math.log(1.0 - fp_rate)))
-
-
-class BloomFilter:
-    """Classic Bloom filter with ``hash_count`` hashes over ``bit_count`` bits."""
-
-    def __init__(self, bit_count: int, hash_count: int) -> None:
-        if bit_count <= 0:
-            raise SketchError(f"bit_count must be positive: {bit_count}")
-        if hash_count <= 0:
-            raise SketchError(f"hash_count must be positive: {hash_count}")
-        self.bit_count = bit_count
-        self.hash_count = hash_count
-        self._bits = bytearray((bit_count + 7) // 8)
-        self.item_count = 0
-
-    @classmethod
-    def with_capacity(cls, capacity: int, fp_rate: float = 0.01) -> "BloomFilter":
-        """Build a filter sized for ``capacity`` items at ``fp_rate``."""
-        bits = optimal_bit_count(capacity, fp_rate)
-        return cls(bits, optimal_hash_count(bits, capacity))
-
-    def _positions(self, item: "bytes | str") -> list[int]:
-        return double_hashes(item, self.hash_count, self.bit_count)
-
-    def add(self, item: "bytes | str") -> None:
-        """Insert an item."""
-        for position in self._positions(item):
-            self._bits[position // 8] |= 1 << (position % 8)
-        self.item_count += 1
-
-    def __contains__(self, item: "bytes | str") -> bool:
-        return all(
-            self._bits[p // 8] & (1 << (p % 8)) for p in self._positions(item)
-        )
-
-    def false_positive_rate(self) -> float:
-        """Expected FP rate given the observed number of insertions."""
-        if self.item_count == 0:
-            return 0.0
-        exponent = -self.hash_count * self.item_count / self.bit_count
-        return (1.0 - math.exp(exponent)) ** self.hash_count
-
-    def set_bit_count(self) -> int:
-        """Number of set bits (popcount of the bitmap)."""
-        return int.from_bytes(self._bits, "little").bit_count()
-
-    def serialized_size(self) -> int:
-        """Bytes occupied by the raw bitmap."""
-        return len(self._bits)
 
 
 class CountingBloomFilter:

@@ -10,6 +10,13 @@ of a sparse random bitmap.
 
 ``golomb_encode`` writes each value as ``q`` in unary and ``r`` in truncated
 binary, with ``q, r = divmod(value, parameter)``.
+
+The stream is most-significant-bit first and padded to a byte boundary; the
+format is frozen (see ``tests/unit/golden_golomb.json``).  The coders work
+on machine words, not single bits: writes accumulate into one Python big int
+and flush byte-aligned chunks with ``int.to_bytes``; reads keep a sliding
+big-int window refilled with ``int.from_bytes`` and decode a unary run in one
+step by inverting the window and taking ``bit_length``.
 """
 
 from __future__ import annotations
@@ -17,8 +24,11 @@ from __future__ import annotations
 import math
 
 from repro.errors import BitstreamError
-from repro.sketches.bitio import CHUNK_BITS, BitReader, BitWriter
 
+#: size of the coders' big-int accumulator/window, in bits.  Bounded
+#: chunks keep every shift/mask O(chunk) instead of O(stream); a multiple
+#: of 8 so flushed chunks stay byte-aligned.
+CHUNK_BITS = 256
 _CHUNK_BYTES = CHUNK_BITS // 8
 
 
@@ -38,50 +48,12 @@ def optimal_golomb_parameter(probability: float) -> int:
     return max(1, math.ceil(1.0 / denominator))
 
 
-def write_golomb(writer: BitWriter, value: int, parameter: int) -> None:
-    """Write one Golomb-coded value through a :class:`BitWriter`.
-
-    The per-value reference shape of the format (``q`` in unary, the
-    remainder in truncated binary), fused into one bulk write.  The bulk
-    coders below inline this; it stays for any other bit-level producer.
-    """
-    quotient, remainder = divmod(value, parameter)
-    if parameter == 1:
-        writer.write_unary(quotient)
-        return
-    width = parameter.bit_length()
-    cutoff = (1 << width) - parameter
-    if remainder < cutoff:
-        tail_width = width - 1
-    else:
-        remainder += cutoff
-        tail_width = width
-    unary = ((1 << quotient) - 1) << 1
-    writer.write_bits((unary << tail_width) | remainder, quotient + 1 + tail_width)
-
-
-def read_golomb(reader: BitReader, parameter: int) -> int:
-    """Read one Golomb-coded value through a :class:`BitReader`
-    (the inverse of :func:`write_golomb`)."""
-    quotient = reader.read_unary()
-    if parameter == 1:
-        return quotient
-    width = parameter.bit_length()
-    cutoff = (1 << width) - parameter
-    remainder = reader.read_bits(width - 1)
-    if remainder >= cutoff:
-        remainder = (remainder << 1) | reader.read_bit()
-        remainder -= cutoff
-    return quotient * parameter + remainder
-
-
 def golomb_encode(values: "list[int]", parameter: int) -> tuple[bytes, int]:
     """Encode non-negative integers; returns ``(payload, bit_count)``.
 
     ``bit_count`` is needed to decode exactly (the payload is padded to a
     byte boundary).  The hot loop keeps the accumulator in local variables
-    (one fused bulk shift per value) rather than going through
-    :class:`BitWriter` method calls; the emitted stream is identical.
+    (one fused bulk shift per value).
     """
     if parameter <= 0:
         raise BitstreamError(f"Golomb parameter must be positive: {parameter}")

@@ -13,13 +13,7 @@ simulation's cost model.
 
 from repro.store.cell import Cell, RowResult
 from repro.store.client import Delete, Get, HTable, Put, Scan, Store
-from repro.store.filters import (
-    ColumnValueFilter,
-    Filter,
-    QualifierPrefixFilter,
-    RowRangeFilter,
-    ScoreThresholdFilter,
-)
+from repro.store.filters import Filter, ScoreBandFilter
 from repro.store.region import Region
 
 __all__ = [
@@ -31,10 +25,7 @@ __all__ = [
     "Put",
     "Scan",
     "Store",
-    "ColumnValueFilter",
     "Filter",
-    "QualifierPrefixFilter",
-    "RowRangeFilter",
-    "ScoreThresholdFilter",
+    "ScoreBandFilter",
     "Region",
 ]

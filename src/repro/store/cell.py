@@ -186,8 +186,3 @@ class RowResult:
 
     def serialized_size(self) -> int:
         return sum(cell.serialized_size() for cell in self.cells)
-
-
-def group_rows(cells: Iterable[Cell]) -> list[RowResult]:
-    """Group already-resolved, sorted cells into per-row results."""
-    return list(iter_rows(cells))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from repro.common.serialization import decode_float
-from repro.errors import FilterError
 from repro.store.cell import RowResult
 
 
@@ -25,77 +24,31 @@ class Filter(ABC):
         """True iff the row should be returned to the client."""
 
 
-class RowRangeFilter(Filter):
-    """Keep rows whose key is within ``[start, stop)`` (either side open)."""
-
-    def __init__(self, start: "str | None" = None, stop: "str | None" = None) -> None:
-        if start is not None and stop is not None and start >= stop:
-            raise FilterError(f"empty row range: [{start!r}, {stop!r})")
-        self.start = start
-        self.stop = stop
-
-    def matches(self, row: RowResult) -> bool:
-        if self.start is not None and row.row < self.start:
-            return False
-        if self.stop is not None and row.row >= self.stop:
-            return False
-        return True
-
-
-class QualifierPrefixFilter(Filter):
-    """Keep rows having at least one qualifier with the given prefix;
-    non-matching cells are stripped from the shipped row."""
-
-    def __init__(self, prefix: str) -> None:
-        self.prefix = prefix
-
-    def matches(self, row: RowResult) -> bool:
-        kept = [c for c in row.cells if c.qualifier.startswith(self.prefix)]
-        if not kept:
-            return False
-        row.cells = kept
-        return True
-
-
-class ColumnValueFilter(Filter):
-    """Keep rows where column ``family:qualifier`` equals ``value``."""
-
-    def __init__(self, family: str, qualifier: str, value: bytes) -> None:
-        self.family = family
-        self.qualifier = qualifier
-        self.value = value
-
-    def matches(self, row: RowResult) -> bool:
-        return row.value(self.family, self.qualifier) == self.value
-
-
-class ScoreThresholdFilter(Filter):
-    """Keep rows whose float-encoded score column is >= ``threshold``.
+class ScoreBandFilter(Filter):
+    """Keep rows whose float-encoded score column is in ``[low, high)``
+    (``high=None``: no upper bound).
 
     This is the DRJN pull-phase filter: "fetch and join all tuples whose
     score is above the lower score boundaries of the last fetched buckets"
-    (§7.1).  Cells other than the score column ride along untouched.
+    (§7.1).  The upper bound lets incremental pull bands skip tuples
+    already pulled in earlier rounds (the scan itself still reads
+    everything — that cost is inherent to DRJN's design).  Cells other than
+    the score column ride along untouched.
     """
 
-    def __init__(self, family: str, qualifier: str, threshold: float) -> None:
+    def __init__(
+        self, family: str, qualifier: str, low: float, high: "float | None" = None
+    ) -> None:
         self.family = family
         self.qualifier = qualifier
-        self.threshold = threshold
+        self.low = low
+        self.high = high
 
     def matches(self, row: RowResult) -> bool:
         raw = row.value(self.family, self.qualifier)
         if raw is None:
             return False
-        return decode_float(raw) >= self.threshold
-
-
-class AndFilter(Filter):
-    """Conjunction of filters (all must match, applied in order)."""
-
-    def __init__(self, *filters: Filter) -> None:
-        if not filters:
-            raise FilterError("AndFilter requires at least one filter")
-        self.filters = filters
-
-    def matches(self, row: RowResult) -> bool:
-        return all(f.matches(row) for f in self.filters)
+        score = decode_float(raw)
+        if score < self.low:
+            return False
+        return self.high is None or score < self.high

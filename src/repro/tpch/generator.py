@@ -27,7 +27,6 @@ Record = dict[str, Any]
 #: base table cardinalities at micro_scale == 1
 PARTS_PER_UNIT = 200
 ORDERS_PER_UNIT = 1500
-MEAN_LINES_PER_ORDER = 4  # uniform 1..7, mean 4 => ~6000 lineitems/unit
 
 
 def _comment(rng: random.Random, words: int) -> str:
@@ -143,6 +142,7 @@ def generate(micro_scale: float = 1.0, seed: int = 1) -> TPCHData:
     for order_seq in range(order_count):
         order = _make_order(rng, order_seq)
         data.orders.append(order)
+        # uniform 1..7 lines, mean 4 => ~6000 lineitems per unit of scale
         for linenumber in range(1, rng.randint(1, 7) + 1):
             data.lineitems.append(
                 _make_lineitem(rng, line_seq, order["orderkey"], linenumber, partkeys)

@@ -2,7 +2,7 @@
 
 Each relation becomes one table with a single ``d`` column family, one
 qualifier per column; string columns are UTF-8, numeric score columns are
-8-byte floats (so :class:`~repro.store.filters.ScoreThresholdFilter` can
+8-byte floats (so :class:`~repro.store.filters.ScoreBandFilter` can
 evaluate them server-side), and other numerics are stringified.
 
 Tables are pre-split so data spreads across the simulated workers — the

@@ -1,59 +1,13 @@
-"""Column schemas of the generated TPC-H-like tables.
+"""Payload vocabulary of the generated TPC-H-like tables.
 
 Beyond the join and score columns, every table carries its realistic
-complement of "payload" columns.  These matter for the experiments: Hive
+complement of "payload" columns, drawn from the vocabulary below.  These matter for the experiments: Hive
 ships whole rows through its join job while Pig projects early (§3.1), and
 the index-based algorithms ship none of them — reproducing the bandwidth
 ordering requires rows that are genuinely wider than (key, join, score).
 """
 
 from __future__ import annotations
-
-#: part table columns (score column: retailprice, normalized to (0, 1])
-PART_COLUMNS = (
-    "partkey",
-    "name",
-    "mfgr",
-    "brand",
-    "type",
-    "size",
-    "container",
-    "retailprice",
-    "comment",
-)
-
-#: orders table columns (score column: totalprice, normalized to (0, 1])
-ORDERS_COLUMNS = (
-    "orderkey",
-    "custkey",
-    "orderstatus",
-    "totalprice",
-    "orderdate",
-    "orderpriority",
-    "clerk",
-    "shippriority",
-    "comment",
-)
-
-#: lineitem table columns (score column: extendedprice, normalized)
-LINEITEM_COLUMNS = (
-    "orderkey",
-    "partkey",
-    "suppkey",
-    "linenumber",
-    "quantity",
-    "extendedprice",
-    "discount",
-    "tax",
-    "returnflag",
-    "linestatus",
-    "shipdate",
-    "commitdate",
-    "receiptdate",
-    "shipinstruct",
-    "shipmode",
-    "comment",
-)
 
 #: TPC-H-flavoured vocabulary for payload columns
 MFGRS = ("Manufacturer#1", "Manufacturer#2", "Manufacturer#3",

@@ -46,9 +46,9 @@ class TestInsertReplay:
         signature = query.left.signature
 
         # insert a part that will dominate the top-1 result
-        manager.apply_insert(signature, "PNEW", "winner", 0.999)
-        manager.apply_insert(
-            query.right.signature, "LNEW", "winner", 0.999
+        manager.apply_insert_batch(signature, [("PNEW", "winner", 0.999)])
+        manager.apply_insert_batch(
+            query.right.signature, [("LNEW", "winner", 0.999)]
         )
         result = algorithm.execute(query)
         assert result.tuples[0].keys == ("PNEW", "LNEW")
@@ -67,7 +67,7 @@ class TestInsertReplay:
 
         low, high = bucket_bounds(empty, meta_before.num_buckets)
         score = (low + high) / 2
-        manager.apply_insert(signature, "PX", "vx", score)
+        manager.apply_insert_batch(signature, [("PX", "vx", score)])
         assert empty in manager.meta(signature).buckets
 
     def test_delete_removes_tuple_from_results(self, fresh_setup):
@@ -79,9 +79,9 @@ class TestInsertReplay:
             r for r in fresh_setup.ground_truth(query, 1)
             if r.keys[0] == winner.keys[0]
         )
-        algorithm.update_manager.apply_delete(
-            query.left.signature, winner.keys[0],
-            winner.join_value, left.scores[0],
+        algorithm.update_manager.apply_delete_batch(
+            query.left.signature,
+            [(winner.keys[0], winner.join_value, left.scores[0])],
         )
         after = algorithm.execute(query)
         assert all(t.keys[0] != winner.keys[0] for t in after.tuples)
@@ -102,7 +102,7 @@ class TestWriteBackPolicies:
         manager = algorithm.update_manager
         query = q1(5)
         signature = query.left.signature
-        manager.apply_insert(signature, "PNEW", "winner", 0.999)
+        manager.apply_insert_batch(signature, [("PNEW", "winner", 0.999)])
         family = manager.meta(signature).family
         bucket = score_to_bucket(0.999, manager.meta(signature).num_buckets)
         assert self._bucket_has_records(fresh_setup, family, bucket)
@@ -117,7 +117,7 @@ class TestWriteBackPolicies:
         manager = algorithm.update_manager
         query = q1(5)
         signature = query.left.signature
-        manager.apply_insert(signature, "PNEW", "winner", 0.999)
+        manager.apply_insert_batch(signature, [("PNEW", "winner", 0.999)])
         algorithm.execute(query)  # flush_pending runs post-result
         family = manager.meta(signature).family
         bucket = score_to_bucket(0.999, manager.meta(signature).num_buckets)
@@ -129,7 +129,7 @@ class TestWriteBackPolicies:
         )
         manager = algorithm.update_manager
         signature = q1(1).left.signature
-        manager.apply_insert(signature, "PNEW", "winner", 0.999)
+        manager.apply_insert_batch(signature, [("PNEW", "winner", 0.999)])
         swept = manager.offline_sweep(signature)
         assert swept == 1
         family = manager.meta(signature).family
@@ -143,7 +143,7 @@ class TestWriteBackPolicies:
         manager = algorithm.update_manager
         query = q1(5)
         signature = query.left.signature
-        manager.apply_insert(signature, "PNEW", "winner", 0.999)
+        manager.apply_insert_batch(signature, [("PNEW", "winner", 0.999)])
         algorithm.execute(query)
         # below threshold: the record must still be pending
         family = manager.meta(signature).family
@@ -166,9 +166,13 @@ class TestRecallUnderUpdates:
         right_sig = query.right.signature
 
         for i in range(8):
-            manager.apply_insert(left_sig, f"PN{i}", f"newv{i}", 0.999 - i / 1000)
-            manager.apply_insert(right_sig, f"LN{i}", f"newv{i}", 0.999 - i / 2000)
-        manager.apply_delete(left_sig, "PN3", "newv3", 0.999 - 3 / 1000)
+            manager.apply_insert_batch(
+                left_sig, [(f"PN{i}", f"newv{i}", 0.999 - i / 1000)]
+            )
+            manager.apply_insert_batch(
+                right_sig, [(f"LN{i}", f"newv{i}", 0.999 - i / 2000)]
+            )
+        manager.apply_delete_batch(left_sig, [("PN3", "newv3", 0.999 - 3 / 1000)])
 
         result = algorithm.execute(query)
         expected_pairs = {(f"PN{i}", f"LN{i}") for i in range(8) if i != 3}

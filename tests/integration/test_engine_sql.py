@@ -104,16 +104,6 @@ class TestNWaySQLPath:
         result = tiny_engine.execute(query, algorithm="bfhm-cascade")
         assert result.algorithm == "BFHM-cascade"
 
-    def test_register_multiway_custom_instance(self, tiny_engine):
-        from repro.core.hrjn import MultiWayHRJNRankJoin
-        from repro.query.parser import parse_rank_join
-
-        custom = MultiWayHRJNRankJoin(tiny_engine.platform)
-        tiny_engine.register_multiway("my-pipeline", custom)
-        query = parse_rank_join(THREE_WAY_SQL.format(k=2))
-        result = tiny_engine.execute(query, algorithm="my-pipeline")
-        assert result.algorithm == "HRJN-nway"
-
 
 class TestEngine:
     def test_unknown_algorithm_rejected(self, shared_setup):

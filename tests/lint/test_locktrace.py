@@ -132,8 +132,6 @@ class TestInstallation:
         from repro.serving.plan_cache import PlanCache
 
         class _Catalog:
-            epoch = 0
-
             def table_version(self, name: str) -> int:
                 return 0
 
@@ -150,8 +148,6 @@ class TestInstallation:
         from repro.serving.plan_cache import PlanCache
 
         class _Catalog:
-            epoch = 0
-
             def table_version(self, name: str) -> int:
                 return 0
 

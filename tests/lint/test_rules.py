@@ -56,6 +56,12 @@ EXPECTED: "dict[str, list[tuple[str, int]]]" = {
         ("RL001", 8),
         ("RL002", 12),
     ],
+    "unreferenced_bad.py": [
+        ("RL501", 7),
+        ("RL501", 11),
+        ("RL501", 15),
+        ("RL501", 19),
+    ],
 }
 
 GOOD_FIXTURES = [
@@ -64,6 +70,7 @@ GOOD_FIXTURES = [
     "metering_good.py",
     "exceptions_good.py",
     "pragmas_good.py",
+    "unreferenced_good.py",
 ]
 
 
@@ -109,6 +116,26 @@ def test_guarded_registry_key_names_a_live_class(key: str) -> None:
         if isinstance(node, ast.ClassDef)
     }
     assert class_name in defined, f"{relpath} defines no class {class_name}"
+
+
+def test_changed_mode_builds_references_from_the_full_trees(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
+    """``--changed`` lints a subset of files, but RL501's reference set
+    still comes from the full trees: ``golomb.py``'s coders are called
+    only from other modules, so linting it alone as the one changed file
+    must report nothing."""
+    import json
+
+    from tools.analyze import reachability, runner
+    from tools.analyze.base import load_module
+
+    target = REPO_ROOT / "src" / "repro" / "sketches" / "golomb.py"
+    # its own references alone would leave its public coders unreferenced
+    assert reachability.check(load_module(target, REPO_ROOT), {})
+    monkeypatch.setattr(runner, "changed_files", lambda roots: [target])
+    assert runner.main(["--changed", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == []
 
 
 def test_cli_exit_codes_and_json() -> None:

@@ -21,7 +21,6 @@ from repro.maintenance.faults import (
     SlowDrainInjector,
     StoreFaultInjector,
 )
-from repro.maintenance.worker import BackgroundDrainer
 from repro.relational.binding import load_relation
 from repro.relational.naive import naive_rank_join
 from repro.tpch.queries import q2
@@ -275,17 +274,3 @@ class TestCrashSmoke:
         assert rig.pipeline.lag() == before
         rig.pipeline.drain_all()
         assert rig.pipeline.lag() == 0
-
-
-class TestBackgroundDrainer:
-    def test_drainer_empties_the_backlog(self):
-        rig = make_rig(pipeline_kwargs={"batch_size": 2})
-        drainer = BackgroundDrainer(rig.pipeline, interval_s=0.001).start()
-        try:
-            submit_refresh(rig, rig.refreshes(1)[0])
-        finally:
-            drainer.stop(drain=True)
-        assert rig.pipeline.lag() == 0
-        clean = make_rig()
-        apply_refresh_sync(clean, clean.refreshes(1)[0])
-        assert_same_state(rig, clean, "after background drain")

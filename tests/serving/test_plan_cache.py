@@ -1,4 +1,4 @@
-"""Plan-cache unit tests: accounting, eviction, version/epoch invalidation.
+"""Plan-cache unit tests: accounting, eviction, version invalidation.
 
 The pure LRU/version logic is tested against a fake catalog (fast, exact);
 the integration tests drive the real planner through
@@ -22,11 +22,10 @@ from repro.tpch.queries import q1, q2
 
 
 class _FakeCatalog:
-    """Duck-typed stand-in exposing table_version/epoch like the real one."""
+    """Duck-typed stand-in exposing table_version like the real one."""
 
     def __init__(self) -> None:
         self._versions: dict[str, int] = {}
-        self.epoch = 0
 
     def table_version(self, table: str) -> int:
         return self._versions.get(table, 0)
@@ -69,16 +68,6 @@ class TestPlanCacheUnit:
         assert cache.lookup("over-part") is None
         assert cache.invalidations == 1
         assert cache.lookup("over-orders") == "o"
-
-    def test_epoch_bump_invalidates_everything(self):
-        catalog = _FakeCatalog()
-        cache = PlanCache(catalog, capacity=4)
-        cache.store("a", 1, cache.versions_for(("part",)))
-        cache.store("b", 2, cache.versions_for(("orders",)))
-        catalog.epoch += 1
-        assert cache.lookup("a") is None
-        assert cache.lookup("b") is None
-        assert cache.invalidations == 2
 
     def test_store_refuses_versions_stale_before_landing(self):
         catalog = _FakeCatalog()

@@ -1,7 +1,7 @@
 """The seed bit-at-a-time Golomb bit I/O, kept verbatim as a test oracle.
 
-The production coder (:mod:`repro.sketches.bitio`) was rewritten to work on
-machine words; the wire format is frozen (blob sizes drive the paper's
+The production coder (:mod:`repro.sketches.golomb`) was rewritten to work
+on machine words; the wire format is frozen (blob sizes drive the paper's
 bandwidth accounting), so the property tests in
 ``test_golomb_golden.py`` assert that the fast coder emits byte-identical
 streams to this reference implementation.

@@ -6,61 +6,12 @@ from hypothesis import strategies as st
 
 from repro.errors import CounterUnderflowError, SketchError
 from repro.sketches.bloom import (
-    BloomFilter,
     CountingBloomFilter,
     SingleHashBloomFilter,
-    optimal_bit_count,
-    optimal_hash_count,
     single_hash_bit_count,
 )
 
 keys = st.text(min_size=1, max_size=16)
-
-
-class TestClassicBloom:
-    @given(st.sets(keys, max_size=100))
-    @settings(max_examples=50)
-    def test_no_false_negatives(self, items):
-        bloom = BloomFilter.with_capacity(max(len(items), 1), 0.01)
-        for item in items:
-            bloom.add(item)
-        assert all(item in bloom for item in items)
-
-    def test_false_positive_rate_near_target(self):
-        bloom = BloomFilter.with_capacity(1000, 0.01)
-        for i in range(1000):
-            bloom.add(f"member-{i}")
-        false_positives = sum(
-            1 for i in range(10_000) if f"absent-{i}" in bloom
-        )
-        assert false_positives / 10_000 < 0.03
-
-    def test_sizing_validation(self):
-        with pytest.raises(SketchError):
-            optimal_bit_count(0, 0.01)
-        with pytest.raises(SketchError):
-            optimal_bit_count(10, 1.5)
-        with pytest.raises(SketchError):
-            BloomFilter(0, 1)
-        with pytest.raises(SketchError):
-            BloomFilter(8, 0)
-
-    def test_optimal_hash_count(self):
-        assert optimal_hash_count(1000, 100) == pytest.approx(7, abs=1)
-        assert optimal_hash_count(10, 0) == 1
-
-    def test_predicted_fp_rate_grows_with_load(self):
-        bloom = BloomFilter(128, 2)
-        assert bloom.false_positive_rate() == 0.0
-        for i in range(100):
-            bloom.add(str(i))
-        assert bloom.false_positive_rate() > 0.1
-
-    def test_set_bit_count_and_size(self):
-        bloom = BloomFilter(64, 2)
-        bloom.add("x")
-        assert 1 <= bloom.set_bit_count() <= 2
-        assert bloom.serialized_size() == 8
 
 
 class TestCountingBloom:
@@ -100,6 +51,12 @@ class TestCountingBloom:
         assert counting.count("x") == 2
         counting.remove("x")
         assert "x" in counting
+
+    def test_sizing_validation(self):
+        with pytest.raises(SketchError):
+            CountingBloomFilter(0, 1)
+        with pytest.raises(SketchError):
+            CountingBloomFilter(8, 0)
 
 
 class TestSingleHash:

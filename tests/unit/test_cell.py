@@ -8,7 +8,6 @@ from repro.cluster.simulation import SimCluster
 from repro.store.cell import (
     Cell,
     RowResult,
-    group_rows,
     iter_rows,
     iter_visible,
     resolve_versions,
@@ -109,7 +108,7 @@ class TestRowResult:
              cell(row="r2", qualifier="b")],
             key=Cell.sort_key,
         )
-        grouped = group_rows(cells)
+        grouped = list(iter_rows(cells))
         assert [r.row for r in grouped] == ["r1", "r2"]
         assert len(grouped[1]) == 2
 

@@ -35,6 +35,43 @@ class TestErrorHierarchy:
             raise errors.CounterUnderflowError("x")
 
 
+class TestIndexNotBuilt:
+    """Reading the meta row of a relation whose index was never built is
+    a typed error, not a decode failure on missing cells — even when the
+    index table exists because another relation's index was built."""
+
+    @pytest.fixture(scope="class")
+    def platform(self):
+        from repro.tpch.generator import generate
+        from repro.tpch.loader import load_tpch
+
+        platform = Platform(LC_PROFILE)
+        load_tpch(platform.store, generate(micro_scale=0.05, seed=7))
+        return platform
+
+    def test_bfhm_meta_of_unbuilt_relation(self, platform):
+        from repro.core.bfhm.algorithm import BFHMRankJoin
+        from repro.tpch.queries import q1, q2
+
+        algorithm = BFHMRankJoin(platform)
+        algorithm.prepare(q1(1))  # builds part's and lineitem's indexes
+        unbuilt = q2(1).left.signature  # orders: never built
+        with pytest.raises(errors.IndexNotBuiltError) as raised:
+            algorithm.builder.read_meta(platform, unbuilt)
+        assert raised.value.index_name.startswith(f"BFHM:{unbuilt}")
+
+    def test_drjn_meta_of_unbuilt_relation(self, platform):
+        from repro.baselines.drjn import DRJNRankJoin
+        from repro.tpch.queries import q1, q2
+
+        algorithm = DRJNRankJoin(platform)
+        algorithm.prepare(q1(1))
+        unbuilt = q2(1).left.signature
+        with pytest.raises(errors.IndexNotBuiltError) as raised:
+            algorithm._read_meta(unbuilt)
+        assert raised.value.index_name == f"DRJN:{unbuilt}"
+
+
 class TestPlatform:
     def test_wiring(self):
         platform = Platform(LC_PROFILE)

@@ -1,17 +1,8 @@
 """Server-side filters."""
 
-import pytest
-
 from repro.common.serialization import encode_float
-from repro.errors import FilterError
 from repro.store.cell import Cell, RowResult
-from repro.store.filters import (
-    AndFilter,
-    ColumnValueFilter,
-    QualifierPrefixFilter,
-    RowRangeFilter,
-    ScoreThresholdFilter,
-)
+from repro.store.filters import ScoreBandFilter
 
 
 def row(key="r", cells=None):
@@ -19,67 +10,38 @@ def row(key="r", cells=None):
                      [Cell(key, "d", "q", b"v", 1)])
 
 
-class TestRowRange:
-    def test_bounds(self):
-        f = RowRangeFilter("b", "d")
-        assert not f.matches(row("a"))
-        assert f.matches(row("b"))
-        assert f.matches(row("c"))
-        assert not f.matches(row("d"))
-
-    def test_open_ends(self):
-        assert RowRangeFilter(None, None).matches(row("anything"))
-
-    def test_empty_range_rejected(self):
-        with pytest.raises(FilterError):
-            RowRangeFilter("z", "a")
-
-
-class TestQualifierPrefix:
-    def test_strips_non_matching_cells(self):
-        cells = [Cell("r", "d", "keep_1", b"v", 1), Cell("r", "d", "drop", b"v", 1)]
-        r = row(cells=cells)
-        assert QualifierPrefixFilter("keep").matches(r)
-        assert [c.qualifier for c in r.cells] == ["keep_1"]
-
-    def test_no_match_rejects_row(self):
-        assert not QualifierPrefixFilter("absent").matches(row())
-
-
-class TestColumnValue:
-    def test_equality(self):
-        cells = [Cell("r", "d", "status", b"open", 1)]
-        assert ColumnValueFilter("d", "status", b"open").matches(row(cells=cells))
-        assert not ColumnValueFilter("d", "status", b"closed").matches(row(cells=cells))
-
-    def test_missing_column_rejects(self):
-        assert not ColumnValueFilter("d", "missing", b"x").matches(row())
-
-
 class TestScoreThreshold:
+    """``high=None``: the open-ended pull filter."""
+
     def _scored(self, value: float):
         return row(cells=[Cell("r", "d", "score", encode_float(value), 1)])
 
     def test_threshold_inclusive(self):
-        f = ScoreThresholdFilter("d", "score", 0.5)
+        f = ScoreBandFilter("d", "score", 0.5)
         assert f.matches(self._scored(0.5))
         assert f.matches(self._scored(0.9))
         assert not f.matches(self._scored(0.49))
 
     def test_missing_score_rejects(self):
-        assert not ScoreThresholdFilter("d", "score", 0.5).matches(row())
+        assert not ScoreBandFilter("d", "score", 0.5).matches(row())
 
 
-class TestAnd:
-    def test_conjunction(self):
-        cells = [Cell("m", "d", "score", encode_float(0.9), 1)]
-        both = AndFilter(RowRangeFilter("a", "z"),
-                         ScoreThresholdFilter("d", "score", 0.5))
-        assert both.matches(RowResult("m", cells))
-        assert not AndFilter(RowRangeFilter("n", "z"),
-                             ScoreThresholdFilter("d", "score", 0.5)
-                             ).matches(RowResult("m", cells))
+class TestScoreBand:
+    """A closed band: DRJN's incremental pull rounds."""
 
-    def test_requires_filters(self):
-        with pytest.raises(FilterError):
-            AndFilter()
+    def _scored(self, value: float):
+        return row(cells=[Cell("r", "d", "score", encode_float(value), 1)])
+
+    def test_band_is_half_open(self):
+        f = ScoreBandFilter("d", "score", 0.3, 0.6)
+        assert f.matches(self._scored(0.3))
+        assert f.matches(self._scored(0.59))
+        assert not f.matches(self._scored(0.6))
+        assert not f.matches(self._scored(0.29))
+
+    def test_other_cells_ride_along(self):
+        cells = [Cell("r", "d", "jv", b"x", 1),
+                 Cell("r", "d", "score", encode_float(0.4), 1)]
+        shipped = RowResult("r", list(cells))
+        assert ScoreBandFilter("d", "score", 0.3, 0.6).matches(shipped)
+        assert shipped.cells == cells

@@ -33,6 +33,18 @@ class TestRoundTrip:
         with pytest.raises(BitstreamError):
             golomb_encode([1], 0)
 
+    @pytest.mark.parametrize("parameter", [1, 4, 5])
+    def test_truncated_or_overlong_stream_rejected(self, parameter):
+        """Reading past the stream's end, or claiming more bits than the
+        payload holds, is a typed error whatever the decoder's path."""
+        payload, bits = golomb_encode([3, 0, 2, 7], parameter)
+        with pytest.raises(BitstreamError):
+            golomb_decode(payload, bits, 5, parameter)
+        with pytest.raises(BitstreamError):
+            golomb_decode(payload, bits - 3, 4, parameter)
+        with pytest.raises(BitstreamError):
+            golomb_decode(payload, bits + 64, 4, parameter)
+
 
 class TestOptimalParameter:
     def test_degenerate_probabilities(self):

@@ -23,19 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bfhm.bucket import decode_blob, encode_blob
-from repro.sketches.bitio import CHUNK_BITS, BitReader, BitWriter
 from repro.sketches.golomb import (
     decode_sorted_set,
     encode_sorted_set,
     golomb_decode,
     golomb_encode,
-    read_golomb,
-    write_golomb,
 )
 from repro.sketches.hybrid import HybridBloomFilter
 from tests.unit.reference_bitio import (
-    ReferenceBitReader,
-    ReferenceBitWriter,
     reference_golomb_decode,
     reference_golomb_encode,
 )
@@ -124,42 +119,6 @@ class TestSeedEquivalence:
         theirs = reference_golomb_decode(payload, bits, len(values), parameter)
         assert ours == theirs == values
 
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 2), st.integers(0, (1 << 66) - 1),
-                      st.integers(0, 70)),
-            max_size=60,
-        )
-    )
-    def test_raw_bit_streams_match_seed(self, ops):
-        """write_bit/write_bits/write_unary and the three reads agree with
-        the seed implementation op for op, including multi-chunk runs."""
-        ours, seed = BitWriter(), ReferenceBitWriter()
-        for kind, value, width in ops:
-            if kind == 0:
-                ours.write_bit(value & 1)
-                seed.write_bit(value & 1)
-            elif kind == 1:
-                ours.write_bits(value, width)
-                seed.write_bits(value, width)
-            else:
-                run = value % (2 * CHUNK_BITS)  # cover chunk-crossing runs
-                ours.write_unary(run)
-                seed.write_unary(run)
-        assert ours.getvalue() == seed.getvalue()
-        assert ours.bit_count == seed.bit_count
-        data, bits = ours.getvalue(), ours.bit_count
-        r_ours, r_seed = BitReader(data, bits), ReferenceBitReader(data, bits)
-        for kind, value, width in ops:
-            if kind == 0:
-                assert r_ours.read_bit() == r_seed.read_bit()
-            elif kind == 1:
-                assert r_ours.read_bits(width) == r_seed.read_bits(width)
-            else:
-                assert r_ours.read_unary() == r_seed.read_unary()
-            assert r_ours.remaining == r_seed.remaining
-
     @pytest.mark.parametrize("parameter", [1, 4])
     def test_lazy_iterables_encode_like_lists(self, parameter):
         """golomb_encode must not consume a generator twice (the
@@ -168,20 +127,6 @@ class TestSeedEquivalence:
         assert golomb_encode(iter(values), parameter) == golomb_encode(
             values, parameter
         )
-
-    @settings(max_examples=30, deadline=None)
-    @given(small_values_strategy, small_parameter_strategy)
-    def test_per_value_reference_path_matches_bulk(self, values, parameter):
-        """write_golomb/read_golomb (the per-value BitWriter path) must
-        emit and consume the same stream as the bulk coders."""
-        writer = BitWriter()
-        for value in values:
-            write_golomb(writer, value, parameter)
-        assert (writer.getvalue(), writer.bit_count) == golomb_encode(
-            values, parameter
-        )
-        reader = BitReader(writer.getvalue(), writer.bit_count)
-        assert [read_golomb(reader, parameter) for _ in values] == values
 
     @settings(max_examples=60, deadline=None)
     @given(

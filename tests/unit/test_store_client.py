@@ -14,7 +14,7 @@ from repro.errors import (
 )
 from repro.store.client import Delete, Get, Put, Scan
 from repro.platform import Platform
-from repro.store.filters import ScoreThresholdFilter
+from repro.store.filters import ScoreBandFilter
 
 
 class TestAdmin:
@@ -224,7 +224,7 @@ class TestScans:
     def test_filter_reads_everything_ships_matches(self, loaded):
         platform = loaded.store.ctx
         loaded.store.ctx.metrics.reset()
-        scan = Scan(filter=ScoreThresholdFilter("d", "score", 0.8))
+        scan = Scan(filter=ScoreBandFilter("d", "score", 0.8))
         rows = list(loaded.scan(scan))
         assert [r.row for r in rows] == ["r8", "r9"]
         # dollar cost counts every cell scanned, not just the two shipped
@@ -253,10 +253,11 @@ class TestScanBatches:
         "limit_mid_batch": Scan(caching=4, limit=6),
         "limit_past_end": Scan(caching=7, limit=50),
         "one_family": Scan(families={"e"}, caching=2),
-        "filter": Scan(filter=ScoreThresholdFilter("d", "score", 0.5), caching=3),
+        "filter": Scan(filter=ScoreBandFilter("d", "score", 0.5), caching=3),
         "filter_and_limit": Scan(
-            filter=ScoreThresholdFilter("d", "score", 0.3), caching=2, limit=5
+            filter=ScoreBandFilter("d", "score", 0.3), caching=2, limit=5
         ),
+        "band": Scan(filter=ScoreBandFilter("d", "score", 0.3, 0.6), caching=3),
         "scatter": Scan(caching=3, scatter=True),
     }
 

@@ -1,6 +1,6 @@
 """repro-lint: the repo's invariant-enforcing static-analysis suite.
 
-Four AST-based checker families guard the invariants the test suite can
+Five AST-based checker families guard the invariants the test suite can
 only probabilistically exercise:
 
 * **lock discipline** (RL1xx) — attributes declared ``# guarded-by:`` may
@@ -10,7 +10,9 @@ only probabilistically exercise:
 * **metering** (RL3xx) — no raw store access or out-of-API metric
   mutation in metered paths (the fig7/8 bit-identity guarantee);
 * **exception safety** (RL4xx) — locks and temp index families release
-  via ``with``/``try-finally``.
+  via ``with``/``try-finally``;
+* **dead code** (RL5xx) — every public top-level definition in
+  ``src/repro`` is referenced by the program, not only by its tests.
 
 Run ``python -m tools.analyze`` from the repository root (or ``make
 lint``, which also runs mypy on the strict allowlist and the docs check).

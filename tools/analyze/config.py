@@ -48,6 +48,11 @@ METRIC_API_MODULES = (
     "src/repro/serving/metrics.py",
 )
 
+#: the trees (repo-relative) whose code can reference a src/repro
+#: definition (RL501); README's python blocks are added to them.  Tests
+#: are left out on purpose: code only its own tests call is dead code.
+REFERENCE_ROOTS = ("src/repro", "perf", "benchmarks", "examples")
+
 #: the explicit wall-clock allowlist: file -> callable names permitted.
 #: The serving layer measures *real* latency percentiles — wall-clock is
 #: its job — but only through these two clocks; everything else in the
@@ -125,7 +130,9 @@ CLEANUP_CALLS = frozenset({"drop_family", "drop_table", "forget"})
 
 def in_scope(info: ModuleInfo, scope: str) -> bool:
     """Whether a module belongs to ``scope`` (``src`` / ``simulated`` /
-    ``metered``), either by location or by a forced fixture pragma."""
+    ``metered`` / ``reachable``), either by location or by a forced
+    fixture pragma.  ``reachable`` (RL501) is ``src`` minus the
+    ``__init__.py`` re-export modules."""
     if scope in info.forced_scopes:
         return True
     rel = info.relpath
@@ -135,4 +142,6 @@ def in_scope(info: ModuleInfo, scope: str) -> bool:
         return rel.startswith(SIMULATED_PREFIXES)
     if scope == "metered":
         return rel.startswith(METERED_PREFIXES)
+    if scope == "reachable":
+        return rel.startswith("src/repro/") and not rel.endswith("/__init__.py")
     raise ValueError(f"unknown scope {scope!r}")

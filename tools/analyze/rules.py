@@ -8,7 +8,8 @@ released.  New rules take the next free number in their family:
 * ``RL1xx`` — lock discipline (guarded shared state),
 * ``RL2xx`` — determinism of simulated-cost paths,
 * ``RL3xx`` — cost-metering integrity (the fig7/8 bit-identity guarantee),
-* ``RL4xx`` — exception safety of paired resources (locks, temp families).
+* ``RL4xx`` — exception safety of paired resources (locks, temp families),
+* ``RL5xx`` — dead code (public definitions nothing in the program uses).
 """
 
 from __future__ import annotations
@@ -103,6 +104,14 @@ _CATALOG: "tuple[Rule, ...]" = (
         "a cleanup call (drop_family/drop_table/forget) outside a "
         "`finally` block and outside a dedicated cleanup helper — temp "
         "index families must be released even when execution raises",
+    ),
+    Rule(
+        "RL501",
+        "unreferenced-definition",
+        "a public top-level def, class or assignment in src/repro that "
+        "nothing in src/repro, perf/, benchmarks/, examples/ or README's "
+        "python blocks references outside its own body (imports, "
+        "__all__ entries, docstrings and comments do not count)",
     ),
 )
 

@@ -17,7 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from tools.analyze import determinism, exceptions, locks, metering
+from tools.analyze import determinism, exceptions, locks, metering, reachability
 from tools.analyze.base import Finding, GuardDecl, ModuleInfo, load_module
 from tools.analyze.rules import RULES
 
@@ -27,13 +27,20 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 def analyze_module(
     info: ModuleInfo,
     registry: "dict[str, dict[str, GuardDecl]] | None" = None,
+    references: "dict[str, set[str]] | None" = None,
 ) -> "list[Finding]":
-    """All findings for one module, after inline-pragma suppression."""
+    """All findings for one module, after inline-pragma suppression.
+
+    ``references`` is the whole-program reference index RL501 checks
+    against; it is built from the full trees when not given."""
+    if references is None:
+        references = reachability.build_index(REPO_ROOT)
     raw: "list[Finding]" = list(info.pragma_findings())
     raw.extend(locks.check(info, registry=registry))
     raw.extend(determinism.check(info))
     raw.extend(metering.check(info))
     raw.extend(exceptions.check(info))
+    raw.extend(reachability.check(info, references))
     kept = [
         finding
         for finding in raw
@@ -59,11 +66,15 @@ def analyze_paths(
     paths: "list[Path]",
     registry: "dict[str, dict[str, GuardDecl]] | None" = None,
 ) -> "list[Finding]":
-    """Lint every file under ``paths``; findings sorted by location."""
+    """Lint every file under ``paths``; findings sorted by location.
+
+    RL501's reference index always comes from the full trees, however
+    few files ``paths`` names."""
+    references = reachability.build_index(REPO_ROOT)
     findings: "list[Finding]" = []
     for file in discover(paths):
         info = load_module(file, REPO_ROOT)
-        findings.extend(analyze_module(info, registry=registry))
+        findings.extend(analyze_module(info, registry=registry, references=references))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return findings
 
@@ -98,7 +109,8 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Invariant-enforcing static analysis for this repo: "
-        "lock discipline, determinism, metering, exception safety.",
+        "lock discipline, determinism, metering, exception safety, "
+        "unreferenced definitions.",
     )
     parser.add_argument(
         "paths",

@@ -1,6 +1,6 @@
 """Documentation health check (the ``make docs-check`` target).
 
-Two gates:
+Three gates:
 
 1. **Docstring coverage** — every public module under ``src/repro`` (and
    every public class/function defined at module top level) must carry a
@@ -9,6 +9,9 @@ Two gates:
    must actually run.  Blocks are executed in one shared namespace, in
    order, from the repository root (matching the instructions readers
    follow).
+3. **Examples are run** — every ``examples/*.py`` script is named in the
+   Makefile's ``examples`` target (which CI runs), so no example can rot
+   unrun.
 
 Exits non-zero with a report of every violation.
 """
@@ -23,6 +26,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
 README = REPO_ROOT / "README.md"
+MAKEFILE = REPO_ROOT / "Makefile"
+EXAMPLES = REPO_ROOT / "examples"
 
 _CODE_BLOCK_RE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
@@ -51,12 +56,17 @@ def check_docstrings() -> list[str]:
     return problems
 
 
+def readme_blocks(readme: Path = README) -> list[str]:
+    """The source of each ``python`` code block in ``readme``, in order."""
+    return _CODE_BLOCK_RE.findall(readme.read_text(encoding="utf-8"))
+
+
 def check_readme_blocks() -> list[str]:
     """Run README's python blocks; return failures."""
     problems = []
     if not README.exists():
         return ["README.md not found"]
-    blocks = _CODE_BLOCK_RE.findall(README.read_text(encoding="utf-8"))
+    blocks = readme_blocks()
     if not blocks:
         return ["README.md has no ```python blocks to verify"]
     namespace: dict = {"__name__": "__readme__"}
@@ -69,15 +79,31 @@ def check_readme_blocks() -> list[str]:
     return problems
 
 
+def check_examples_run() -> list[str]:
+    """``examples/*.py`` scripts the Makefile's ``examples`` target skips."""
+    match = re.search(
+        r"^examples:[^\n]*\n((?:\t[^\n]*\n)*)",
+        MAKEFILE.read_text(encoding="utf-8"),
+        re.MULTILINE,
+    )
+    recipe = match.group(1) if match else ""
+    run = set(re.findall(r"examples/(\w+\.py)", recipe))
+    return [
+        f"examples/{path.name} is not run by the Makefile's examples target"
+        for path in sorted(EXAMPLES.glob("*.py"))
+        if path.name not in run
+    ]
+
+
 def main() -> int:
-    problems = check_docstrings()
+    problems = check_docstrings() + check_examples_run()
     readme_problems = check_readme_blocks()
     for problem in problems + readme_problems:
         print(f"docs-check: {problem}")
     if problems or readme_problems:
         print(f"docs-check: FAILED ({len(problems) + len(readme_problems)} problems)")
         return 1
-    print("docs-check: OK (docstrings complete, README blocks run)")
+    print("docs-check: OK (docstrings complete, README blocks run, examples run)")
     return 0
 
 
