@@ -1,14 +1,14 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test stress chaos bench bench-planner bench-wallclock bench-multiway bench-sketch bench-serving bench-ingest bench-scatter bench-all lint lint-changed docs-check examples all
+.PHONY: test stress chaos bench bench-planner bench-wallclock bench-multiway bench-sketch bench-serving bench-ingest bench-scatter bench-all lint lint-changed docs-check examples reach all
 
 ## tier-1: the full suite (unit + algorithms + integration + benchmarks)
 test:
 	$(PYTHON) -m pytest -x -q
 
 ## heavy concurrency smoke tests (@pytest.mark.stress, excluded from
-## tier-1): the serving-layer stress suite plus the scan-vs-split races
+## tier-1): the serving-layer and store write/flush/scan stress suite
 stress:
 	$(PYTHON) -m pytest -m stress -q tests
 
@@ -100,5 +100,11 @@ examples:
 	$(PYTHON) examples/online_updates.py
 	$(PYTHON) examples/multiway_trends.py
 	$(PYTHON) examples/full_text_search.py
+
+## reach probe: run every perf workload for a few ops and every example
+## under a stdlib profile hook, then print the src/repro functions that
+## never ran, per module (prints only; gates nothing)
+reach:
+	$(PYTHON) -m tools.reach
 
 all: test lint

@@ -51,10 +51,6 @@ class SimCluster:
         """Round-robin worker selection for region/block placement."""
         return self.workers[next(self._placement_cycle)]
 
-    @property
-    def total_task_slots(self) -> int:
-        return len(self.workers) * self.cost_model.task_slots_per_node
-
 
 @dataclass
 class SimContext:

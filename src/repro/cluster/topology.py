@@ -137,10 +137,6 @@ class ClusterTopology:
         """True when scatter/gather fan-out is worth engaging at all."""
         return self.num_servers > 1
 
-    def server_for_node(self, node_id: int) -> int:
-        """Region-server id hosting ``node_id``."""
-        return self._server_of_node[node_id]
-
     def server_for(self, region: "Region") -> int:
         """Region-server id serving ``region`` (via its hosting node)."""
         return self._server_of_node[region.node.node_id]
@@ -156,10 +152,3 @@ class ClusterTopology:
     def spread(self, regions: "list[Region]") -> int:
         """How many distinct servers ``regions`` land on."""
         return len({self.server_for(region) for region in regions})
-
-    def describe(self) -> str:
-        """One line per server: ``rs-0: nodes [1, 3, 5, 7]``."""
-        return "\n".join(
-            f"{server.name}: nodes {list(server.node_ids)}"
-            for server in self.servers
-        )

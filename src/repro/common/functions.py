@@ -3,8 +3,7 @@
 Rank-join algorithms require the aggregate function to be monotone: if every
 individual score of tuple ``a`` is greater than or equal to the corresponding
 score of tuple ``b``, then ``f(a) >= f(b)``.  All classes here satisfy that,
-and :meth:`AggregateFunction.check_monotone_pair` lets property tests verify
-it on concrete inputs.
+and property tests check it on concrete inputs.
 
 Q1 of the evaluation uses a product (``P.RetailPrice * L.ExtendedPrice``) and
 Q2 a sum (``O.TotalPrice + L.ExtendedPrice``); both are provided, along with
@@ -32,21 +31,6 @@ class AggregateFunction(ABC):
 
     def __call__(self, *scores: float) -> float:
         return self.combine(scores)
-
-    def upper_bound(self, partial: Sequence[float], maxima: Sequence[float]) -> float:
-        """Best attainable score given ``partial`` known scores and per-slot
-        maxima for the rest.  ``partial`` entries that are ``None`` are taken
-        from ``maxima``.  Used by threshold computations."""
-        merged = [m if p is None else p for p, m in zip(partial, maxima)]
-        return self.combine(merged)
-
-    def check_monotone_pair(
-        self, low: Sequence[float], high: Sequence[float]
-    ) -> bool:
-        """True iff dominance of ``high`` over ``low`` implies f-ordering."""
-        if not all(h >= l for h, l in zip(high, low)):
-            return True  # dominance premise does not hold; vacuously fine
-        return self.combine(high) >= self.combine(low)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

@@ -218,12 +218,16 @@ class LockTracer:
 
     # -- graph queries --------------------------------------------------------
 
-    def edges(self) -> "list[tuple[tuple[str, int], tuple[str, int]]]":
+    def edges(  # lint: disable=RL501 (lock-order graph the tests read)
+        self,
+    ) -> "list[tuple[tuple[str, int], tuple[str, int]]]":
         """The recorded held-site -> acquired-site edges (sorted)."""
         with self._graph_lock:
             return sorted(self._edges)
 
-    def find_cycle(self) -> "list[tuple[str, int]] | None":
+    def find_cycle(  # lint: disable=RL501 (the tracer fixture's check)
+        self,
+    ) -> "list[tuple[str, int]] | None":
         """A list of sites forming an acquisition-order cycle, or None."""
         with self._graph_lock:
             adjacency: "dict[tuple[str, int], list[tuple[str, int]]]" = {}

@@ -40,12 +40,6 @@ class ScoredRow(NamedTuple):
     score: float
     payload: Mapping[str, Any] = _NO_PAYLOAD
 
-    def projected(self) -> "ScoredRow":
-        """Return a copy stripped of the payload (an early projection)."""
-        if not self.payload:
-            return self
-        return ScoredRow(self.row_key, self.join_value, self.score)
-
 
 @dataclass(frozen=True, slots=True)
 class JoinTuple:

@@ -4,9 +4,9 @@ The synchronous write path (:class:`~repro.maintenance.interceptor.
 MaintainedRelation`) applies base + IJLMR + ISL + BFHM mutations inline,
 so a heavy write stream stalls queries.  This module decouples them:
 
-* **enqueue** — writers call :meth:`MaintenancePipeline.submit_insert` /
-  ``submit_delete`` (or their batch forms).  Each submission is stamped
-  with its §6 *original* mutation timestamp and appended to a
+* **enqueue** — writers call :meth:`MaintenancePipeline.submit_insert`,
+  ``submit_insert_batch`` or ``submit_delete_batch``.  Each submission is
+  stamped with its §6 *original* mutation timestamp and appended to a
   sequence-numbered :class:`~repro.store.wal.SequencedLog`; the writer
   returns immediately.
 * **drain** — a maintenance worker applies logged records in batches
@@ -128,11 +128,6 @@ class TableStaleness:
     applied_sequence: int
     last_sequence: int
 
-    @property
-    def fresh(self) -> bool:
-        """True when indexes fully reflect the log."""
-        return self.pending == 0
-
 
 class MaintenancePipeline:
     """WAL-backed asynchronous maintenance over a set of relations.
@@ -235,10 +230,6 @@ class MaintenancePipeline:
         frozen = tuple((row_key, dict(record)) for row_key, record in rows)
         timestamp = self.platform.ctx.next_timestamp()
         return self._submit(MutationRecord(_OP_INSERT, table, frozen, timestamp))
-
-    def submit_delete(self, table: str, row_key: str) -> int:
-        """Log one delete; returns its WAL sequence number."""
-        return self.submit_delete_batch(table, [row_key])
 
     def submit_delete_batch(self, table: str, row_keys: "list[str]") -> int:
         """Log a delete batch sharing one original timestamp; returns its
@@ -406,7 +397,7 @@ class MaintenancePipeline:
 
     # -- crash recovery ------------------------------------------------------
 
-    def recover(self) -> int:
+    def recover(self) -> int:  # lint: disable=RL501 (crash recovery path)
         """Rebuild worker state from durable state only, then return the
         number of records awaiting replay.
 
@@ -438,7 +429,7 @@ class MaintenancePipeline:
             self.recoveries += 1
             return replayable
 
-    def retry_dead_letters(self) -> int:
+    def retry_dead_letters(self) -> int:  # lint: disable=RL501 (fault recovery path)
         """Re-apply dead-lettered records (oldest first) now that the
         store presumably recovered; returns how many succeeded.
 

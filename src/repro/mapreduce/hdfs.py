@@ -39,9 +39,6 @@ class SimHDFS:
         self.block_bytes = block_bytes
         self._files: dict[str, list[HDFSBlock]] = {}
 
-    def exists(self, path: str) -> bool:
-        return path in self._files
-
     def delete(self, path: str) -> None:
         if path not in self._files:
             raise HDFSError(f"no such file: {path!r}")
@@ -49,9 +46,6 @@ class SimHDFS:
 
     def delete_if_exists(self, path: str) -> None:
         self._files.pop(path, None)
-
-    def list_files(self) -> list[str]:
-        return sorted(self._files)
 
     def write_file(self, path: str, records: "list[Any]", writer_node: "Node | None" = None) -> int:
         """Create ``path`` from ``records``; returns total bytes written.
@@ -97,6 +91,3 @@ class SimHDFS:
         """All records of a file, unmetered (callers charge their own I/O)."""
         for block in self.blocks(path):
             yield from block.records
-
-    def file_size(self, path: str) -> int:
-        return sum(block.byte_size for block in self.blocks(path))

@@ -52,7 +52,3 @@ class Platform:
     @property
     def cost_model(self) -> CostModel:
         return self.ctx.cost_model
-
-    def reset_metrics(self) -> None:
-        """Zero the meters (data and indices stay loaded)."""
-        self.ctx.metrics.reset()

@@ -285,9 +285,6 @@ class _SideProfile:
     def top_score(self) -> float:
         return self.maxes[0] if self.maxes else 0.0
 
-    def mid(self, index: int) -> float:
-        return (self.mins[index] + self.maxes[index]) / 2.0
-
     def score_at_depth(self, consumed: float) -> float:
         """Score at a scan depth of ``consumed`` tuples (interpolated
         linearly within the frontier bucket)."""

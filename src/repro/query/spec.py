@@ -124,11 +124,6 @@ class RankJoinQuery:
         """Second input (the two-way ``right`` role)."""
         return self.inputs[1]
 
-    def with_k(self, k: int) -> "RankJoinQuery":
-        """Same query, different result size (used by k-sweeps and the
-        BFHM recall-repair loop's k + (k - k') restarts)."""
-        return RankJoinQuery(inputs=self.inputs, function=self.function, k=k)
-
     def pairwise(self, left_index: int = 0, right_index: int = 1) -> "RankJoinQuery":
         """A two-way projection (reuses the binary index builders and,
         in the left-deep BFHM cascade, shapes each stage)."""

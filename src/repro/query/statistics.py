@@ -544,8 +544,3 @@ class StatisticsCatalog:
         self.invalidate(base)
         if table_name != base:
             self.invalidate(table_name)
-
-    @property
-    def cached_signatures(self) -> "list[str]":
-        with self._lock:
-            return sorted(signature for signature, _ in self._cache)

@@ -295,7 +295,7 @@ class QueryServer:
 
     # -- async maintenance -----------------------------------------------------
 
-    def attach_maintenance(
+    def attach_maintenance(  # lint: disable=RL501 (serving-with-maintenance entry point)
         self,
         pipeline,
         policy: str = "stale_ok",

@@ -83,13 +83,6 @@ class EquiWidthHistogram:
         """Stats for ``bucket`` (empty stats if nothing landed there)."""
         return self._buckets.get(bucket, BucketStats())
 
-    def bounds(self, bucket: int) -> tuple[float, float]:
-        return bucket_bounds(bucket, self.num_buckets, self.lo, self.hi)
-
     def non_empty_buckets(self) -> list[int]:
         """Bucket numbers with data, ascending (= descending score)."""
         return sorted(self._buckets)
-
-    @property
-    def total_count(self) -> int:
-        return sum(stats.count for stats in self._buckets.values())

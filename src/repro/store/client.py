@@ -95,17 +95,12 @@ class Store:
         name: str,
         families: "set[str]",
         split_keys: "list[str] | None" = None,
-        max_region_bytes: "int | None" = None,
     ) -> "HTable":
-        """Create a table (optionally pre-split) and return a handle."""
+        """Create a table (optionally pre-split: its regions are fixed
+        here) and return a handle."""
         if name in self._tables:
             raise TableExistsError(name)
-        kwargs = {}
-        if max_region_bytes is not None:
-            kwargs["max_region_bytes"] = max_region_bytes
-        table = StoreTable(
-            name, families, self.ctx.cluster, split_keys, **kwargs
-        )
+        table = StoreTable(name, families, self.ctx.cluster, split_keys)
         table.on_family_drop = self._notify_drop
         self._tables[name] = table
         return HTable(self, table)
@@ -277,10 +272,7 @@ class HTable:
         self, cells: "list[Cell]"
     ) -> "dict[int, tuple[int, int]]":
         """Group a mutation batch by region server: server id -> (distinct
-        regions touched, payload bytes), in first-touch order.  Routed
-        against the pre-write region map — a mid-batch split may shift a
-        region boundary, but pricing against the routing the client saw is
-        exactly what a real scatter client would pay."""
+        regions touched, payload bytes), in first-touch order."""
         topology = self.ctx.topology
         regions_by_server: "dict[int, set[int]]" = {}
         payload_by_server: "dict[int, int]" = {}

@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.store.cell import Cell
 
@@ -58,10 +58,6 @@ class MemTable:
             else:
                 bucket.append(cell)
             self.byte_size += cell.serialized_size()
-
-    def add_all(self, cells: Iterable[Cell]) -> None:
-        for cell in cells:
-            self.add(cell)
 
     def drop_family(self, family: str) -> None:
         """Discard every cell of ``family`` (administrative schema drop).

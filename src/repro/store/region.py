@@ -2,12 +2,13 @@
 
 Each region owns a half-open row-key range ``[start_key, stop_key)``, a
 memtable, a stack of immutable segments, and a WAL, and lives on one worker
-node (giving MapReduce its data locality).  Flushes, minor/major compactions
-and midpoint splits model the HBase lifecycle closely enough that index
-tables shard and spread across the cluster the way §4.1.1 describes
-("if the table is split up/sharded and distributed across the NoSQL store
-nodes, index entries for the same join values across all indexed tables are
-stored next to each other on the same node").
+node (giving MapReduce its data locality).  Flushes and minor/major
+compactions model the HBase lifecycle.  A region's range is fixed when its
+table is created: the split keys chosen then shard index tables across the
+cluster the way §4.1.1 describes ("if the table is split up/sharded and
+distributed across the NoSQL store nodes, index entries for the same join
+values across all indexed tables are stored next to each other on the same
+node").
 """
 
 from __future__ import annotations
@@ -210,54 +211,3 @@ class Region:
         if self.stop_key is None:
             return stop_row
         return min(stop_row, self.stop_key)
-
-    # -- splitting ----------------------------------------------------------
-
-    def midpoint_key(self) -> "str | None":
-        """Median distinct row key, or ``None`` if the region cannot split.
-
-        The candidate must leave BOTH daughters non-empty: the split
-        contract routes ``row < split_key`` to the lower daughter and
-        ``row >= split_key`` to the upper, so a candidate at (or below —
-        defensive against skewed inputs) the smallest stored key would
-        produce an empty lower region that keeps its routing range forever
-        without ever holding a row.  A region whose cells all share one
-        row key therefore reports "cannot split" rather than degenerating.
-        """
-        rows = sorted({cell.row for cell in self.all_raw_cells()})
-        if len(rows) < 2:
-            return None
-        middle = rows[len(rows) // 2]
-        if middle <= rows[0]:
-            return None
-        return middle
-
-    def all_raw_cells(self) -> list[Cell]:
-        cells = list(self.memtable.cells())
-        for sstable in self.sstables:
-            cells.extend(sstable.cells())
-        return cells
-
-    def split(self, split_key: str, new_node: "Node") -> tuple["Region", "Region"]:
-        """Split into two daughters at ``split_key``; the upper half moves to
-        ``new_node``."""
-        if not self.contains(split_key):
-            raise RegionError(
-                f"split key {split_key!r} outside region "
-                f"[{self.start_key!r}, {self.stop_key!r})"
-            )
-        lower = Region(
-            self.start_key, split_key, self.node,
-            self.flush_threshold, self.compaction_trigger,
-        )
-        upper = Region(
-            split_key, self.stop_key, new_node,
-            self.flush_threshold, self.compaction_trigger,
-        )
-        for cell in self.all_raw_cells():
-            target = lower if cell.row < split_key else upper
-            target.wal.append(cell)
-            target.memtable.add(cell)
-        lower.flush()
-        upper.flush()
-        return lower, upper

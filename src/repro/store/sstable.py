@@ -38,14 +38,6 @@ class SSTable:
     def empty(self) -> bool:
         return not self._cells
 
-    @property
-    def first_row(self) -> "str | None":
-        return self._rows[0] if self._rows else None
-
-    @property
-    def last_row(self) -> "str | None":
-        return self._rows[-1] if self._rows else None
-
     def cells(self) -> Iterator[Cell]:
         return iter(self._cells)
 
@@ -62,18 +54,12 @@ class SSTable:
         hi = len(self._rows) if stop_row is None else bisect_left(self._rows, stop_row)
         return lo, hi
 
-    def cells_in_range(
-        self, start_row: "str | None", stop_row: "str | None"
-    ) -> list[Cell]:
-        """Raw cells with ``start_row <= row < stop_row``, materialized."""
-        return list(self.iter_range(start_row, stop_row))
-
     def iter_range(
         self, start_row: "str | None", stop_row: "str | None"
     ) -> Iterator[Cell]:
-        """Lazy variant of :meth:`cells_in_range`: seeks by binary search and
-        yields one cell at a time, so an early-terminating merge scan touches
-        O(cells consumed), not O(range)."""
+        """Raw cells with ``start_row <= row < stop_row``: seeks by binary
+        search and yields one cell at a time, so an early-terminating merge
+        scan touches O(cells consumed), not O(range)."""
         lo, hi = self._range_bounds(start_row, stop_row)
         return map(self._cells.__getitem__, range(lo, hi))
 

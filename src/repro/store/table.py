@@ -1,9 +1,10 @@
 """Tables: schema plus the sorted list of regions.
 
 A :class:`StoreTable` owns the column-family schema and routes rows to
-regions.  Regions split automatically at their midpoint when they outgrow
-``max_region_bytes``, and daughters are spread over the cluster's workers —
-this is what distributes an index table across nodes after a bulk build.
+regions.  The regions are fixed when the table is created: one per range
+between its split keys, placed round-robin over the cluster's workers.
+The loader and the index builders choose those keys, and that is what
+distributes an index table across nodes.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ from repro.store.region import Region
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.simulation import SimCluster
 
-#: default auto-split threshold for a region's durable size
-DEFAULT_MAX_REGION_BYTES = 64 * 1024 * 1024
-
 
 class StoreTable:
     """One table of the store: schema, regions, and routing."""
@@ -32,12 +30,10 @@ class StoreTable:
         families: "set[str]",
         cluster: "SimCluster",
         split_keys: "list[str] | None" = None,
-        max_region_bytes: int = DEFAULT_MAX_REGION_BYTES,
     ) -> None:
         self.name = name
         self.families = set(families)
         self.cluster = cluster
-        self.max_region_bytes = max_region_bytes
         boundaries = sorted(split_keys or [])
         starts: list[str | None] = [None, *boundaries]
         stops: list[str | None] = [*boundaries, None]
@@ -47,8 +43,8 @@ class StoreTable:
         ]
         # region start keys for binary-search routing (None sorts first)
         self._start_keys = boundaries
-        # serializes mutations and schema changes; splits rebind the region
-        # list so lock-free readers route against a consistent snapshot
+        # serializes mutations and schema changes; the region list and the
+        # start keys are never rebound after this, so routing is lock-free
         self._lock = threading.RLock()
         #: set by the owning Store: called as ``(table name, family)`` after
         #: a family drop so statistics/plan caches can invalidate
@@ -81,16 +77,9 @@ class StoreTable:
 
     def region_for(self, row: str) -> Region:
         """The region owning ``row``."""
-        # routing is lock-free: splits rebind both the region list and the
-        # start-key list, so re-reading them retries past a torn snapshot
-        for _ in range(3):
-            starts = self._start_keys
-            regions = self.regions
-            index = bisect_right(starts, row)
-            if index < len(regions):
-                region = regions[index]
-                if region.contains(row):
-                    return region
+        region = self.regions[bisect_right(self._start_keys, row)]
+        if region.contains(row):
+            return region
         raise RegionError(
             f"routing bug: {row!r} not owned by any region of {self.name!r}"
         )
@@ -110,25 +99,11 @@ class StoreTable:
 
     # -- mutation ------------------------------------------------------------
 
-    def apply(self, cell: Cell) -> None:
-        """Route one mutation to its region; may trigger an auto-split."""
-        self.check_family(cell.family)
-        with self._lock:
-            region = self.region_for(cell.row)
-            region.apply(cell)
-            if region.disk_size > self.max_region_bytes:
-                self._try_split(region)
-
     def apply_batch(self, cells: "list[Cell]") -> int:
         """Route a batch of mutations; returns the number of regions touched.
 
-        Families are checked once per distinct family up front and each cell
-        is routed with a single bisect, instead of re-running
-        ``check_family`` + ``region_for`` per cell through :meth:`apply`.
-        Split checks keep the per-cell timing of :meth:`apply` (a region may
-        split mid-batch, exactly as under the old per-cell loop), so bulk
-        loads produce the same region layout and the same touched-region
-        count — and therefore identical metered costs — as seed.
+        Families are checked once per distinct family up front and each
+        cell is routed with a single bisect.
         """
         # validate up front (atomically — no partial application on a bad
         # family); sorted so the family named in the error is deterministic
@@ -139,27 +114,8 @@ class StoreTable:
             for cell in cells:
                 region = self.region_for(cell.row)
                 region.apply(cell)
-                if region.disk_size > self.max_region_bytes and self._try_split(region):
-                    # this cell's apply split its region: its row now lives in
-                    # one of the daughters, so re-route for the touched count
-                    region = self.region_for(cell.row)
                 touched.add(id(region))
         return len(touched)
-
-    def _try_split(self, region: Region) -> tuple[Region, ...]:
-        with self._lock:
-            split_key = region.midpoint_key()
-            if split_key is None:
-                return ()
-            lower, upper = region.split(split_key, self.cluster.next_worker())
-            index = self.regions.index(region)
-            # rebind (copy-on-write) rather than splice in place: lock-free
-            # readers routing against the old list still see a consistent
-            # region set, and the parent region still holds its data
-            rebound = [*self.regions[:index], lower, upper, *self.regions[index + 1 :]]
-            self.regions = rebound
-            self._start_keys = [r.start_key for r in rebound[1:]]  # type: ignore[misc]
-            return (lower, upper)
 
     def flush_all(self) -> None:
         """Flush every region (makes all data durable and scannable)."""

@@ -5,10 +5,10 @@ from itertools import chain
 import pytest
 
 from repro.cluster.costmodel import EC2_PROFILE
-from repro.common.serialization import decode_score_key, decode_str
+from repro.common.serialization import decode_score_key, decode_str, encode_score_key
 from repro.common.types import ScoredRow
 from repro.core import isl
-from repro.core.indexes import ISL_TABLE
+from repro.core.indexes import ISL_TABLE, ensure_index_table, sample_split_keys
 from repro.core.isl import ISLRankJoin
 from repro.platform import Platform
 from repro.relational.binding import load_relation
@@ -135,15 +135,22 @@ class TestRegionBoundary:
 
     @staticmethod
     def _split_index(num_servers, query):
-        """A loaded platform whose ISL index spans four regions, and a batch
-        size that divides neither input's row count in the first one."""
+        """A loaded platform whose ISL index is created pre-split into four
+        regions (keys from the first input's encoded score sample), and a
+        batch size that divides neither input's row count in the first."""
         platform = Platform(EC2_PROFILE, num_servers=num_servers)
         load_tpch(platform.store, generate(micro_scale=0.05, seed=7))
+        first_input = query.inputs[0]
+        sample = [
+            encode_score_key(row.score)
+            for row in load_relation(platform.store, first_input)
+        ]
+        split_keys = sample_split_keys(sample, 4)
+        ensure_index_table(platform, ISL_TABLE, first_input.signature, split_keys)
         algorithm = ISLRankJoin(platform)
         algorithm.prepare(query)
         index = platform.store.backing(ISL_TABLE)
-        while len(index.regions) < 4:
-            index._try_split(max(index.regions, key=lambda r: r.raw_cell_count()))
+        assert len(index.regions) == 4
         first = [
             list(index.regions[0].scan_rows(families={binding.signature}))
             for binding in query.inputs

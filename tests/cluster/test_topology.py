@@ -7,6 +7,7 @@ from repro.cluster.simulation import SimCluster
 from repro.cluster.topology import ClusterTopology, LocalityBalancer, RegionBalancer
 from repro.platform import Platform
 from repro.store.client import Put
+from repro.store.region import Region
 
 
 @pytest.fixture()
@@ -41,11 +42,11 @@ class TestConstruction:
     def test_round_robin_stripes_workers(self, cluster):
         topology = ClusterTopology(cluster, num_servers=3)
         for index, worker in enumerate(cluster.workers):
-            assert topology.server_for_node(worker.node_id) == index % 3
+            assert topology.server_for(Region(None, None, worker)) == index % 3
 
     def test_master_routes_to_server_zero(self, cluster):
         topology = ClusterTopology(cluster, num_servers=4)
-        assert topology.server_for_node(cluster.master.node_id) == 0
+        assert topology.server_for(Region(None, None, cluster.master)) == 0
 
     def test_bad_balancer_rejected(self, cluster):
         class Broken(RegionBalancer):
@@ -89,12 +90,6 @@ class TestRegionRouting:
     def test_single_server_groups_to_one(self):
         topology, regions = self._regions(num_servers=1)
         assert topology.spread(list(regions)) == 1
-
-    def test_describe_lists_every_server(self):
-        topology, _ = self._regions(num_servers=4)
-        text = topology.describe()
-        for server in topology.servers:
-            assert server.name in text
 
 
 class TestLocalityBalancer:

@@ -203,7 +203,7 @@ class TestAllAlgorithmsOnExample:
     @pytest.mark.parametrize("k", [1, 3, 10])
     def test_exact_topk(self, example, algorithm, k):
         setup, query = example
-        query = query.with_k(k)
+        query = RankJoinQuery(inputs=query.inputs, function=query.function, k=k)
         truth = naive_rank_join([scored(R1), scored(R2)], query.function, k)
         result = setup.engine.execute(query, algorithm=algorithm)
         assert result.recall_against(truth) == 1.0

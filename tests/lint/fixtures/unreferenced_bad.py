@@ -29,3 +29,16 @@ def rl501_documenter():  # lint: disable=RL501 (carries the non-uses below)
 
 def _rl501_private():  # private names are exempt
     return None
+
+
+class Rl501Holder:  # lint: disable=RL501 (hosts the method cases below)
+    def rl501_method(self):  # line 35: RL501 (only its own body calls it)
+        return self.rl501_method()
+
+    @property
+    def rl501_property(self):  # line 39: RL501 (only its own setter names it)
+        return 1
+
+    @rl501_property.setter
+    def rl501_property(self, value):
+        self._value = value

@@ -61,6 +61,8 @@ EXPECTED: "dict[str, list[tuple[str, int]]]" = {
         ("RL501", 11),
         ("RL501", 15),
         ("RL501", 19),
+        ("RL501", 35),
+        ("RL501", 39),
     ],
 }
 
@@ -122,18 +124,25 @@ def test_changed_mode_builds_references_from_the_full_trees(
     monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
 ) -> None:
     """``--changed`` lints a subset of files, but RL501's reference set
-    still comes from the full trees: ``golomb.py``'s coders are called
-    only from other modules, so linting it alone as the one changed file
-    must report nothing."""
+    still comes from the full trees: ``golomb.py``'s coders and
+    ``SSTable.iter_range`` are called only from other modules, so linting
+    their files alone as the changed files must report nothing."""
     import json
 
     from tools.analyze import reachability, runner
     from tools.analyze.base import load_module
 
-    target = REPO_ROOT / "src" / "repro" / "sketches" / "golomb.py"
-    # its own references alone would leave its public coders unreferenced
-    assert reachability.check(load_module(target, REPO_ROOT), {})
-    monkeypatch.setattr(runner, "changed_files", lambda roots: [target])
+    golomb = REPO_ROOT / "src" / "repro" / "sketches" / "golomb.py"
+    sstable = REPO_ROOT / "src" / "repro" / "store" / "sstable.py"
+    # their own references alone would leave a top-level coder and a
+    # method (whose only caller, region.py, is unchanged) unreferenced
+    alone = {
+        finding.message.split("'")[1]
+        for target in (golomb, sstable)
+        for finding in reachability.check(load_module(target, REPO_ROOT), {})
+    }
+    assert {"golomb_encode", "iter_range"} <= alone
+    monkeypatch.setattr(runner, "changed_files", lambda roots: [golomb, sstable])
     assert runner.main(["--changed", "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == []
 

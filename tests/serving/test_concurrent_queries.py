@@ -98,7 +98,7 @@ def _serialized(engine: RankJoinEngine, workload):
     """Run ``workload`` one query at a time, metering each in isolation."""
     results = []
     for sql, algorithm in workload:
-        engine.platform.reset_metrics()
+        engine.platform.metrics.reset()
         results.append(engine.sql(sql, algorithm=algorithm))
     return results
 

@@ -129,7 +129,7 @@ class TestServerStress:
             ]
             expected = {}
             for sql, algorithm in workload:
-                baseline.platform.reset_metrics()
+                baseline.platform.metrics.reset()
                 expected[(sql, algorithm)] = baseline.sql(
                     sql, algorithm=algorithm
                 ).tuples

@@ -114,11 +114,12 @@ class TestStatisticsCatalogRaces:
         )
         stats = catalog.stats_for(binding)
         assert stats.row_count > 0  # the caller still gets usable stats
-        assert catalog.cached_signatures == []  # ...but nothing was cached
         monkeypatch.setattr(statistics_module, "gather_statistics", real_gather)
         fresh = catalog.stats_for(binding)
+        assert catalog.gather_count == 2  # ...but nothing was cached
         assert fresh.row_count == stats.row_count
-        assert catalog.cached_signatures == [binding.signature]
+        assert catalog.stats_for(binding) is fresh  # the clean one is cached
+        assert catalog.gather_count == 2
 
     def test_concurrent_stats_for_caches_exactly_one_entry(self):
         platform = Platform(EC2_PROFILE)
@@ -144,7 +145,8 @@ class TestStatisticsCatalogRaces:
         assert all(
             stats.row_count == results[0].row_count for stats in results
         )
-        assert catalog.cached_signatures == [binding.signature]
+        assert catalog.stats_for(binding) is catalog.stats_for(binding)
+        assert catalog.invalidate(binding.table) == 1  # exactly one entry
 
     def test_drop_listener_bumps_base_table_version(self):
         platform = Platform(EC2_PROFILE)
@@ -156,13 +158,54 @@ class TestStatisticsCatalogRaces:
         assert catalog.table_version("part") == before + 1
 
 
+#: rows every store-concurrency table starts with; writers rewrite them
+#: with fresh versions, so this visible row set never changes
+BASE_KEYS = [f"r{i:06d}" for i in range(400)]
+SCAN_LIMIT = 80
+
+
+def _full_scan(htable, round_index: int) -> None:
+    rows = [row.row for row in htable.scan(Scan(families={"d"}))]
+    assert rows == sorted(set(rows))
+    assert [row for row in rows if row.startswith("r")] == BASE_KEYS
+
+
+def _limited_scan(htable, round_index: int) -> None:
+    start = (round_index * 37) % (len(BASE_KEYS) - SCAN_LIMIT)
+    observed = [
+        row.row
+        for row in htable.scan(
+            Scan(start_row=BASE_KEYS[start], limit=SCAN_LIMIT, families={"d"})
+        )
+    ]
+    assert observed == BASE_KEYS[start : start + SCAN_LIMIT]
+
+
+def _scatter_scan(htable, round_index: int) -> None:
+    rows = [row.row for row in htable.scan(Scan(stop_row="s", scatter=True))]
+    assert rows == BASE_KEYS
+
+
 class TestStoreWritePathConcurrency:
-    def test_writers_and_scanners_share_a_table(self):
-        """Concurrent put_batch (flushes included) with full scans: pre-fix
-        the memtable's list mutation tore open iterators and the
-        publish-then-drain flush window lost cells."""
-        platform = Platform(EC2_PROFILE)
-        htable = platform.store.create_table("conc", {"d"})
+    @pytest.mark.parametrize(
+        ("scan_once", "num_servers"),
+        [(_full_scan, 1), (_limited_scan, 1), (_scatter_scan, 4)],
+        ids=["full", "limited", "scatter"],
+    )
+    def test_writers_and_scanners_share_a_table(self, scan_once, num_servers):
+        """Concurrent puts and flushes against full, limited and 4-server
+        scatter scans over a table pre-split into 8 regions: pre-fix the
+        memtable's list mutation tore open iterators and the
+        publish-then-drain flush window lost cells.  Writers insert new
+        rows and rewrite the base rows, so every scan must see each base
+        row exactly once, in key order."""
+        platform = Platform(EC2_PROFILE, num_servers=num_servers)
+        htable = platform.store.create_table(
+            "conc", {"d"}, split_keys=BASE_KEYS[50::50]
+        )
+        for key in BASE_KEYS:
+            htable.put(Put(key).add("d", "q", b"s" * 32))
+        htable.flush()
         rows_per_thread = 120
         writer_count = 4
         failures: list = []
@@ -173,17 +216,17 @@ class TestStoreWritePathConcurrency:
                     put = Put(f"w{worker:02d}r{index:05d}")
                     put.add("d", "q", b"x" * 64)
                     htable.put(put)
+                    base_key = BASE_KEYS[(index * writer_count + worker) % len(BASE_KEYS)]
+                    htable.put(Put(base_key).add("d", "q", b"y" * 64))
+                    if index % 40 == 39:
+                        htable.flush()
             except Exception as exc:  # pragma: no cover - surfaced below
                 failures.append(exc)
 
         def scanner() -> None:
             try:
-                for _ in range(25):
-                    seen = 0
-                    for row in htable.scan(Scan(families={"d"})):
-                        assert row.row
-                        seen += 1
-                    assert seen >= 0
+                for round_index in range(25):
+                    scan_once(htable, round_index)
             except Exception as exc:  # pragma: no cover - surfaced below
                 failures.append(exc)
 
@@ -197,7 +240,7 @@ class TestStoreWritePathConcurrency:
             thread.join()
         assert not failures, failures
         total = sum(1 for _ in htable.scan(Scan(families={"d"})))
-        assert total == writer_count * rows_per_thread
+        assert total == len(BASE_KEYS) + writer_count * rows_per_thread
 
 
 class TestProcessBoundaryGuards:

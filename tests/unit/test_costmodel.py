@@ -93,9 +93,6 @@ class TestSimContext:
         cluster = SimCluster(EC2_PROFILE)
         assert len(cluster.workers) == EC2_PROFILE.worker_nodes
         assert cluster.master.is_master
-        assert cluster.total_task_slots == (
-            EC2_PROFILE.worker_nodes * EC2_PROFILE.task_slots_per_node
-        )
 
     def test_round_robin_placement(self):
         cluster = SimCluster(EC2_PROFILE)

@@ -87,7 +87,7 @@ class TestPlatform:
         from repro.store.client import Get, Put
 
         htable.put(Put("r").add("d", "c", b"v"))
-        platform.reset_metrics()
+        platform.metrics.reset()
         assert platform.metrics.network_bytes == 0
         assert htable.get(Get("r")).value("d", "c") == b"v"
 

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.functions import (
+    AggregateFunction,
     MaxFunction,
     MinFunction,
     ProductFunction,
@@ -17,6 +18,13 @@ from repro.common.functions import (
 from repro.errors import QueryError
 
 scores = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+def check_monotone_pair(fn: AggregateFunction, low, high) -> bool:
+    """True iff dominance of ``high`` over ``low`` implies f-ordering."""
+    if not all(h >= l for h, l in zip(high, low)):
+        return True  # dominance premise does not hold; vacuously fine
+    return fn.combine(high) >= fn.combine(low)
 
 
 class TestValues:
@@ -80,13 +88,13 @@ class TestMonotonicity:
     def test_sum_monotone(self, a, b, da, db):
         low = (min(a, b), min(a, b))
         high = (low[0] + da / 2, low[1] + db / 2)
-        assert SumFunction().check_monotone_pair(low, high)
+        assert check_monotone_pair(SumFunction(), low, high)
 
     @given(scores, scores, scores, scores)
     def test_product_monotone(self, a1, a2, b1, b2):
         low = (min(a1, b1), min(a2, b2))
         high = (max(a1, b1), max(a2, b2))
-        assert ProductFunction().check_monotone_pair(low, high)
+        assert check_monotone_pair(ProductFunction(), low, high)
 
     @given(scores, scores, scores, scores,
            st.floats(min_value=0.0, max_value=10.0),
@@ -95,16 +103,11 @@ class TestMonotonicity:
         fn = WeightedSumFunction([w1, w2])
         low = (min(a1, b1), min(a2, b2))
         high = (max(a1, b1), max(a2, b2))
-        assert fn.check_monotone_pair(low, high)
-
-    @given(scores, scores)
-    def test_upper_bound_dominates(self, a, b):
-        fn = SumFunction()
-        assert fn.upper_bound([a, None], [1.0, 1.0]) >= fn(a, b) - 1e-12
+        assert check_monotone_pair(fn, low, high)
 
     def test_nonmonotone_counterexample_detected(self):
         class Bad(SumFunction):
             def combine(self, values):
                 return -math.fsum(values)
 
-        assert not Bad().check_monotone_pair((0.1, 0.1), (0.5, 0.5))
+        assert not check_monotone_pair(Bad(), (0.1, 0.1), (0.5, 0.5))

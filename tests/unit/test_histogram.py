@@ -80,7 +80,11 @@ class TestEquiWidthHistogram:
         histogram = EquiWidthHistogram(16)
         for score in scores:
             histogram.add(score)
-        assert histogram.total_count == len(scores)
+        total = sum(
+            histogram.bucket(bucket).count
+            for bucket in histogram.non_empty_buckets()
+        )
+        assert total == len(scores)
 
     def test_non_empty_buckets_sorted(self):
         histogram = EquiWidthHistogram(10)

@@ -170,7 +170,7 @@ class TestAccounting:
 
     def test_hdfs_input_charges_no_kv_reads(self, platform):
         platform.hdfs.write_file("f", [[1], [2]])
-        platform.reset_metrics()
+        platform.metrics.reset()
         job = Job("noop", HDFSInput("f"), lambda *a: None)
         platform.runner.run(job)
         assert platform.metrics.kv_reads == 0
@@ -221,7 +221,7 @@ def _bytes_platform(workers: int) -> Platform:
         htable.put(Put(key).add("d", "text", text.encode()))
     htable.flush()
     platform.store.create_table("copies", {"d"})
-    platform.reset_metrics()
+    platform.metrics.reset()
     return platform
 
 
@@ -266,6 +266,11 @@ def _bytes_jobs() -> "dict[str, Job]":
     }
 
 
+def _hdfs_paths(job: Job) -> "list[str]":
+    """The HDFS files ``job`` leaves behind (its output file, if any)."""
+    return [job.output.path] if isinstance(job.output, HDFSOutput) else []
+
+
 def _observe_bytes() -> "dict[str, dict]":
     observed = {}
     for workers in (1, 4):
@@ -283,8 +288,8 @@ def _observe_bytes() -> "dict[str, dict]":
                 "network_bytes": platform.metrics.network_bytes,
                 "sim_time_s": result.sim_time_s,
                 "hdfs_file_sizes": {
-                    path: platform.hdfs.file_size(path)
-                    for path in platform.hdfs.list_files()
+                    path: sum(block.byte_size for block in platform.hdfs.blocks(path))
+                    for path in _hdfs_paths(job)
                 },
             }
     return observed

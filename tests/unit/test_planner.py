@@ -76,7 +76,11 @@ class TestStatistics:
         stats = gather_statistics(shared_setup.platform, query.left)
         assert stats.row_count == 40
         assert stats.distinct_join_values == 40
-        assert stats.histogram.total_count == 40
+        histogram = stats.histogram
+        assert sum(
+            histogram.bucket(bucket).count
+            for bucket in histogram.non_empty_buckets()
+        ) == 40
         assert stats.total_row_bytes > 0
 
     def test_gather_sees_built_indexes(self, shared_setup):

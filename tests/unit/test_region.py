@@ -1,4 +1,4 @@
-"""Regions: routing, flushes, compaction, splits."""
+"""Regions: routing, flushes, compaction."""
 
 import pytest
 
@@ -103,71 +103,3 @@ class TestLifecycle:
         region.flush()
         region.compact(major=True)
         assert region.raw_cell_count() == 0
-
-
-class TestSplit:
-    def test_split_partitions_rows(self, node):
-        cluster = SimCluster(EC2_PROFILE)
-        region = Region(None, None, node)
-        for i in range(10):
-            region.apply(cell(f"r{i}"))
-        split_key = region.midpoint_key()
-        assert split_key is not None
-        lower, upper = region.split(split_key, cluster.workers[1])
-        assert lower.stop_key == split_key == upper.start_key
-        total = len(list(lower.scan_rows())) + len(list(upper.scan_rows()))
-        assert total == 10
-        assert all(r.row < split_key for r in lower.scan_rows())
-        assert all(r.row >= split_key for r in upper.scan_rows())
-
-    def test_single_row_cannot_split(self, node):
-        region = Region(None, None, node)
-        region.apply(cell("only"))
-        assert region.midpoint_key() is None
-
-    def test_split_key_outside_range_rejected(self, node):
-        cluster = SimCluster(EC2_PROFILE)
-        region = Region("b", "d", node)
-        with pytest.raises(RegionError):
-            region.split("z", cluster.workers[0])
-
-    def test_single_distinct_key_many_cells_cannot_split(self, node):
-        # skew regression: thousands of cells all on one row key used to be
-        # a split candidate pool of exactly one entry — midpoint_key must
-        # refuse rather than propose the first key (empty lower daughter)
-        region = Region(None, None, node)
-        for ts in range(1, 200):
-            region.apply(Cell("hot", "d", f"q{ts}", b"v", ts))
-        region.flush()
-        assert region.midpoint_key() is None
-
-    def test_skewed_split_leaves_both_daughters_nonempty(self, node):
-        # 99% of rows share one hot key; the midpoint must still carve off
-        # a non-empty lower daughter holding the cold keys
-        cluster = SimCluster(EC2_PROFILE)
-        region = Region(None, None, node)
-        region.apply(cell("aaa-cold"))
-        for ts in range(1, 100):
-            region.apply(Cell("zzz-hot", "d", f"q{ts}", b"v", ts))
-        split_key = region.midpoint_key()
-        assert split_key is not None
-        lower, upper = region.split(split_key, cluster.workers[1])
-        assert len(list(lower.scan_rows())) >= 1
-        assert len(list(upper.scan_rows())) >= 1
-
-    def test_midpoint_never_first_key(self, node):
-        # property sweep over adversarial small populations: whatever key
-        # midpoint_key proposes must strictly exceed the smallest stored
-        # key, or be None — the split contract sends rows < split_key left
-        for keys in (
-            ["a", "a", "b"],
-            ["a", "b", "b", "b", "b"],
-            ["x"] * 7 + ["y"],
-            [f"k{i:03d}" for i in range(5)],
-        ):
-            region = Region(None, None, node)
-            for ts, key in enumerate(keys, start=1):
-                region.apply(Cell(key, "d", "q", b"v", ts))
-            candidate = region.midpoint_key()
-            if candidate is not None:
-                assert candidate > min(keys)

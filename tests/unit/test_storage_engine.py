@@ -18,12 +18,14 @@ class TestMemTable:
 
     def test_add_and_iterate_sorted(self):
         memtable = MemTable()
-        memtable.add_all([cell("b"), cell("a")])
+        for added in (cell("b"), cell("a")):
+            memtable.add(added)
         assert [c.row for c in memtable.cells()] == ["a", "b"]
 
     def test_cells_for_row(self):
         memtable = MemTable()
-        memtable.add_all([cell("a"), cell("b"), cell("a", ts=2)])
+        for added in (cell("a"), cell("b"), cell("a", ts=2)):
+            memtable.add(added)
         assert len(memtable.cells_for_row("a")) == 2
 
     def test_drain_clears(self):
@@ -43,24 +45,23 @@ class TestMemTable:
 class TestSSTable:
     def test_sorted_and_searchable(self):
         sstable = SSTable([cell("c"), cell("a"), cell("b")])
-        assert sstable.first_row == "a"
-        assert sstable.last_row == "c"
+        assert [c.row for c in sstable.cells()] == ["a", "b", "c"]
         assert [c.row for c in sstable.cells_for_row("b")] == ["b"]
 
     def test_range_query(self):
         sstable = SSTable([cell(f"r{i}") for i in range(10)])
-        rows = [c.row for c in sstable.cells_in_range("r3", "r6")]
+        rows = [c.row for c in sstable.iter_range("r3", "r6")]
         assert rows == ["r3", "r4", "r5"]
 
     def test_open_ranges(self):
         sstable = SSTable([cell("a"), cell("b")])
-        assert len(sstable.cells_in_range(None, None)) == 2
-        assert [c.row for c in sstable.cells_in_range("b", None)] == ["b"]
+        assert len(list(sstable.iter_range(None, None))) == 2
+        assert [c.row for c in sstable.iter_range("b", None)] == ["b"]
 
     def test_empty(self):
         sstable = SSTable([])
         assert sstable.empty
-        assert sstable.first_row is None
+        assert list(sstable.iter_range(None, None)) == []
 
 
 class TestCompaction:

@@ -136,10 +136,10 @@ class TestMetering:
         htable = empty_platform.store.create_table("t", {"d"})
         for i in range(10):
             htable.put(Put(f"r{i}").add("d", "c", b"v"))
-        empty_platform.reset_metrics()
+        empty_platform.metrics.reset()
         htable.multi_get([Get(f"r{i}") for i in range(10)])
         batched = empty_platform.metrics.snapshot()
-        empty_platform.reset_metrics()
+        empty_platform.metrics.reset()
         for i in range(10):
             htable.get(Get(f"r{i}"))
         individual = empty_platform.metrics.snapshot()
@@ -190,7 +190,7 @@ class TestMetering:
         response = sum(backing.read_row(f"r{i}").serialized_size() for i in range(10))
         keys = sum(len(f"r{i}") for i in range(10))
 
-        empty_platform.reset_metrics()
+        empty_platform.metrics.reset()
         htable.multi_get(gets)
         delta = empty_platform.metrics.snapshot()
         # the batch spans both regions: two request headers, not one

@@ -1,25 +1,11 @@
 """Core value types."""
 
-from repro.common.types import JoinTuple, ScoredRow, top_k
+from repro.common.types import JoinTuple, top_k
 
 
 def make(score: float, *keys: str) -> JoinTuple:
     keys = keys or ("l", "r")
     return JoinTuple(keys, "v", score, tuple(score / len(keys) for _ in keys))
-
-
-class TestScoredRow:
-    def test_projected_strips_payload(self):
-        row = ScoredRow("r1", "a", 0.5, {"comment": b"xxx"})
-        projected = row.projected()
-        assert projected.payload == {}
-        assert (projected.row_key, projected.join_value, projected.score) == (
-            "r1", "a", 0.5,
-        )
-
-    def test_projected_is_noop_without_payload(self):
-        row = ScoredRow("r1", "a", 0.5)
-        assert row.projected() is row
 
 
 class TestJoinTuple:

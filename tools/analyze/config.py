@@ -67,8 +67,8 @@ WALLCLOCK_ALLOWLIST: "dict[str, frozenset[str]]" = {
 #: ``writes`` mode means reads are lock-free by design (copy-on-write /
 #: rebind-snapshot structures) and only mutations must hold the lock.
 GUARDED_REGISTRY: "dict[str, dict[str, GuardDecl]]" = {
-    # splits/schema changes rebind under _lock; routing reads are
-    # deliberately lock-free against rebound snapshots
+    # schema changes write the family set under _lock; the region list and
+    # start keys are bound once in __init__, so routing reads take no lock
     "src/repro/store/table.py:StoreTable": {
         "families": GuardDecl("_lock", writes_only=True),
         "regions": GuardDecl("_lock", writes_only=True),

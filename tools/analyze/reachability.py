@@ -1,12 +1,15 @@
 """RL501 — public definitions that nothing references.
 
 A public top-level ``def``, ``class`` or assignment in ``src/repro``
-(outside ``__init__.py``) must be referenced from somewhere outside its
-own body.  The reference set is built from the whole program — every
-file under :data:`~tools.analyze.config.REFERENCE_ROOTS` plus README's
-python blocks — never from the files being linted alone, so ``--changed``
-does not report a definition whose caller's file is unchanged.  Tests do
-not count: code that only its own tests call is dead code.
+(outside ``__init__.py``), and a public method or property of a class at
+any depth, must be referenced from somewhere outside its own body.
+Dunder and ``_private`` names are exempt; a property's setter and
+deleter are one definition with its getter.  The reference set is built
+from the whole program — every file under
+:data:`~tools.analyze.config.REFERENCE_ROOTS` plus README's python
+blocks — never from the files being linted alone, so ``--changed`` does
+not report a definition whose caller's file is unchanged.  Tests do not
+count: code that only its own tests call is dead code.
 
 What counts as a reference to ``name``:
 
@@ -17,9 +20,11 @@ What counts as a reference to ``name``:
   patching names a function.
 
 What does not: imports (re-exporting is not using), ``__all__`` entries,
-docstrings and comments.  A deliberate keeper (a golden-pinned
-alternative, a test double) says why with ``# lint: disable=RL501
-(reason)`` on its ``def``/``class`` line.
+docstrings and comments.  References are names, not resolved bindings,
+so a name used by any class keeps every method of that name alive.  A
+deliberate keeper (a golden-pinned alternative, a test double, a
+recovery path) says why with ``# lint: disable=RL501 (reason)`` on its
+``def``/``class`` line.
 """
 
 from __future__ import annotations
@@ -116,22 +121,45 @@ def build_index(repo_root: Path) -> "dict[str, set[str]]":
     return index
 
 
+def _span(node: ast.stmt) -> "tuple[int, int]":
+    """First and last line of ``node``, decorators included."""
+    decorators = getattr(node, "decorator_list", [])
+    first = min([node.lineno] + [d.lineno for d in decorators])
+    return first, node.end_lineno or node.lineno
+
+
 def _definitions(tree: ast.Module) -> "Iterator[tuple[str, int, int, int]]":
     """``(name, line, first_line, last_line)`` of each public top-level
-    definition; the span covers decorators and the whole body."""
+    definition and of each public method or property of a class at any
+    depth; the span covers decorators and the whole body (for a property,
+    its setter and deleter too)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             names = _assigned_names(node)
-            first = node.lineno
         else:
             continue
-        last = node.end_lineno or node.lineno
+        first, last = _span(node)
         for name in names:
             if not name.startswith("_"):
                 yield name, node.lineno, first, last
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        # name -> (line, first, last); a property's setter/deleter (or any
+        # redefinition) widens the first definition's span
+        methods: "dict[str, tuple[int, int, int]]" = {}
+        for node in cls.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            first, last = _span(node)
+            line, known_first, _ = methods.get(node.name, (node.lineno, first, last))
+            methods[node.name] = (line, min(first, known_first), last)
+        for name, (line, first, last) in methods.items():
+            yield name, line, first, last
 
 
 def check(info: ModuleInfo, index: "dict[str, set[str]]") -> "list[Finding]":

@@ -108,7 +108,8 @@ _CATALOG: "tuple[Rule, ...]" = (
     Rule(
         "RL501",
         "unreferenced-definition",
-        "a public top-level def, class or assignment in src/repro that "
+        "a public top-level def, class or assignment, or a public method "
+        "or property, in src/repro that "
         "nothing in src/repro, perf/, benchmarks/, examples/ or README's "
         "python blocks references outside its own body (imports, "
         "__all__ entries, docstrings and comments do not count)",
