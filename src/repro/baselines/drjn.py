@@ -191,10 +191,7 @@ class DRJNRankJoin(RankJoinAlgorithm):
         """Coordinator fetch of the pulled tuples (metered scan)."""
         htable = self.platform.store.table(temp_table)
         tuples = []
-        # the temp table is always drained in full, so the scan can fan
-        # out per region server on multi-server topologies (scatter is a
-        # no-op on the default single server)
-        for row in htable.scan(Scan(families={signature}, caching=500, scatter=True)):
+        for row in htable.scan(Scan(families={signature}, caching=500)):
             join_raw = row.value(signature, "j")
             score_raw = row.value(signature, "s")
             if join_raw is None or score_raw is None:

@@ -8,13 +8,12 @@ and hand the batch to :func:`scatter_gather`, which
    fan-out exists on the simulated clock only (the program is pure Python
    under one GIL; ``docs/ARCHITECTURE.md`` "Execution model" records the
    measurements behind that);
-2. captures each task's simulated charges on a private per-task
-   :class:`~repro.cluster.metrics.MetricsCollector` via the serving
-   layer's :class:`~repro.serving.metrics.ThreadLocalMetricsRouter`;
-3. folds the captured charges back into the caller's collector in task
-   order: byte / KV-read counters are absorbed unchanged (the work
-   happened, wherever it ran), while simulated time is re-priced as one
-   *parallel round* —
+2. charges each task's work straight to the caller's collector, on a
+   clock zeroed for that task (:meth:`MetricsCollector.run_timed`):
+   byte / KV-read counters land unchanged (the work happened, wherever
+   it ran), while each task's simulated time is read off and the clock
+   restored;
+3. re-prices the round's time as one *parallel round* —
 
        round = max over servers of (sum of that server's task times)
                + fanout_dispatch_s x (servers - 1)
@@ -23,9 +22,10 @@ and hand the batch to :func:`scatter_gather`, which
    Tasks on the same server queue behind each other; distinct servers
    overlap; each extra server costs a fixed dispatch overhead.
 
-Determinism: charges are captured per task and combined in task order, so
-the resulting simulated metrics are a pure function of the store state and
-the task list.  ``tests/cluster/test_executor.py`` pins this.
+Determinism: tasks run and their times are summed in task order, so the
+resulting simulated metrics are a pure function of the store state and
+the task list.  A task that raises leaves the collector as it was before
+the round.  ``tests/cluster/test_executor.py`` pins both.
 
 Fallbacks run the tasks with charges flowing through untouched (exactly
 the seed behaviour, no round priced): single-server topologies, batches
@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.simulation import SimContext
+from repro.cluster.simulation import SimContext
 
 
 @dataclass(frozen=True)
@@ -61,14 +60,14 @@ _scatter_state = threading.local()
 
 def in_scatter() -> bool:
     """Whether the calling thread is executing inside a scatter task."""
-    return getattr(_scatter_state, "active", False)
+    return bool(getattr(_scatter_state, "active", False))
 
 
 def scatter_gather(
-    ctx: "SimContext",
-    tasks: "list[ScatterTask]",
+    ctx: SimContext,
+    tasks: list[ScatterTask],
     label: "str | None" = None,
-) -> "list[Any]":
+) -> list[Any]:
     """Run ``tasks`` as one parallel round; return results in task order.
 
     Charges the caller one per-server-queue round (module docstring) and
@@ -78,41 +77,29 @@ def scatter_gather(
     single-server, all tasks share a server, or the caller is itself a
     scatter task.
     """
-    if not tasks:
-        return []
-    server_ids = {task.server_id for task in tasks}
-    if not ctx.topology.parallel or len(server_ids) <= 1 or in_scatter():
+    if (
+        len(tasks) < 2
+        or not ctx.topology.parallel
+        or in_scatter()
+        or len({task.server_id for task in tasks}) == 1
+    ):
         return [task.run() for task in tasks]
 
-    # imported here: serving builds on cluster, not the other way around
-    from repro.serving.metrics import install_router
-
-    router = install_router(ctx)
-    collectors = []
-    results = []
+    metrics = ctx.metrics
     _scatter_state.active = True
     try:
-        for task in tasks:
-            with router.scoped() as collector:
-                collectors.append(collector)
-                results.append(task.run())
+        timed = metrics.run_timed([task.run for task in tasks])
     finally:
         _scatter_state.active = False
 
-    # fold captured charges back in task order
     per_server: "dict[int, float]" = {}
-    for task, collector in zip(tasks, collectors):
-        captured = collector.snapshot()
-        router.active.absorb_counts(captured)
-        per_server[task.server_id] = (
-            per_server.get(task.server_id, 0.0) + captured.sim_time_s
-        )
+    for task, (_, seconds) in zip(tasks, timed):
+        per_server[task.server_id] = per_server.get(task.server_id, 0.0) + seconds
     queue_times = list(per_server.values())
-    metrics = ctx.metrics
     metrics.advance_time(ctx.cost_model.scatter_round_time(queue_times))
     metrics.bump("fanout_rounds")
     metrics.bump("fanout_tasks", len(tasks))
     metrics.bump("fanout_overlap_saved_s", sum(queue_times) - max(queue_times))
     if label is not None:
         metrics.bump(f"fanout_rounds_{label}")
-    return results
+    return [result for result, _ in timed]

@@ -16,6 +16,9 @@ memory, tuples shuffled).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,21 +88,34 @@ class MetricsCollector:
         """Overwrite a named counter (e.g. rebasing a per-phase peak)."""
         self.counters[name] = value
 
-    def absorb_counts(self, captured: MetricsSnapshot) -> None:
-        """Fold another collector's totals into this one **without its
-        simulated time**.
+    def run_timed(
+        self, runs: "Sequence[Callable[[], T]]"
+    ) -> "list[tuple[T, float]]":
+        """Run ``runs`` in order, each on a clock zeroed for it; return
+        each result with the simulated seconds it charged.
 
-        The scatter/gather executor captures each parallel task's charges
-        on a private collector, then absorbs the byte / KV-read / named
-        counters here (that work happened regardless of where it ran) and
-        charges the round's *time* separately as the max over per-server
-        queues — the whole point of fan-out is that task times overlap.
+        Every other charge lands here unchanged; the clock is restored
+        afterwards, so the caller prices the elapsed time itself.  If a
+        run raises, every total goes back to its value before the first
+        run and the exception propagates.
         """
-        self.network_bytes += captured.network_bytes
-        self.kv_reads += captured.kv_reads
-        self.disk_bytes_read += captured.disk_bytes_read
-        for name, value in captured.counters.items():
-            self.counters[name] = self.counters.get(name, 0.0) + value
+        before = self.snapshot()
+        timed: "list[tuple[T, float]]" = []
+        try:
+            for run in runs:
+                self.sim_time_s = 0.0
+                result = run()
+                timed.append((result, self.sim_time_s))
+        except BaseException:
+            self.network_bytes = before.network_bytes
+            self.kv_reads = before.kv_reads
+            self.disk_bytes_read = before.disk_bytes_read
+            self.counters.clear()
+            self.counters.update(before.counters)
+            raise
+        finally:
+            self.sim_time_s = before.sim_time_s
+        return timed
 
     def snapshot(self) -> MetricsSnapshot:
         """Immutable copy of the current totals."""

@@ -73,7 +73,7 @@ class SimContext:
             self.cluster, num_servers=self.num_servers, balancer=self.balancer
         )
         # mutation timestamps must stay strictly monotonic even when many
-        # serving threads write through one context
+        # query threads write through one context
         self._timestamp_lock = threading.Lock()
 
     @classmethod

@@ -138,11 +138,11 @@ class ClusterTopology:
         return self.num_servers > 1
 
     def server_for(self, region: "Region") -> int:
-        """Region-server id serving ``region`` (via its hosting node)."""
+        """Region-server id that hosts ``region`` (via its hosting node)."""
         return self._server_of_node[region.node.node_id]
 
     def assignments(self, regions: "list[Region]") -> "dict[int, list[Region]]":
-        """Group ``regions`` by server id, preserving the input (key) order
+        """Group ``regions`` by server id, keeping the input (key) order
         within each group and first-touch order across groups."""
         groups: dict[int, list[Region]] = {}
         for region in regions:

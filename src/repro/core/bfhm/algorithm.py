@@ -245,18 +245,10 @@ class BFHMRankJoin(RankJoinAlgorithm):
             recorded["buckets"] = estimator.buckets_fetched
             recorded["rows"] = cache.rows_fetched
 
-        # on multi-server topologies phase-1/repair bucket fetches pull
-        # both sides per round as scatter/gather instead of alternating
-        parallel = self.platform.ctx.topology.parallel
-
-        def run_until(target_k: int) -> None:
-            if parallel:
-                estimator.run_until_scatter(target_k)
-            else:
-                estimator.run_until(target_k)
-
         # ---- phase 1: estimation ----
-        run_until(k)
+        # (on multi-server topologies phase-1 and repair bucket fetches
+        # pull both sides per round instead of alternating)
+        estimator.run_until(k)
 
         # ---- phase 2 + §5.3 recall repair ----
         outcome = self._phase2(estimator, cache, query)
@@ -272,32 +264,20 @@ class BFHMRankJoin(RankJoinAlgorithm):
                     if (best := estimator.unexamined_best(side)) is not None
                     and best > kth_score + SCORE_EPSILON
                 ]
-                if not violating:
-                    break
-                if parallel and len(violating) > 1:
-                    progressed = estimator.force_fetch_round(violating)
-                else:
-                    progressed = False
-                    for side in violating:
-                        progressed = estimator.force_fetch(side) or progressed
-                if not progressed:
+                if not violating or not estimator.fetch(violating):
                     break
             else:
                 if estimator.side_exhausted(0) and estimator.side_exhausted(1):
                     break
                 fetched_before = estimator.buckets_fetched
-                run_until(k + (k - len(actual)))
+                estimator.run_until(k + (k - len(actual)))
                 if estimator.buckets_fetched == fetched_before:
                     # estimation thinks it is done; force progress anyway —
-                    # on BOTH sides (`or` would short-circuit and starve
-                    # side 1 while side 0 still has buckets, burning extra
-                    # repair rounds on one-sided exhaustion)
-                    if parallel:
-                        progressed = estimator.force_fetch_round([0, 1])
-                    else:
-                        progressed = estimator.force_fetch(0)
-                        progressed = estimator.force_fetch(1) or progressed
-                    if not progressed:
+                    # on BOTH sides (stopping at the first side that
+                    # progresses would starve side 1 while side 0 still has
+                    # buckets, burning extra repair rounds on one-sided
+                    # exhaustion)
+                    if not estimator.fetch([0, 1]):
                         break
             repair_rounds += 1
             outcome = self._phase2(estimator, cache, query)

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 
+from repro.cluster import executor
 from repro.common.functions import AggregateFunction
 from repro.common.serialization import decode_float, decode_str
 from repro.core.bfhm.blobcache import decode_cached
@@ -105,14 +107,6 @@ class BFHMEstimator:
             return None
         return self.metas[side].buckets[self._next_index[side]]
 
-    def _fetch_bucket(self, side: int) -> "_FetchedBucket | None":
-        bucket_number = self.next_bucket_number(side)
-        if bucket_number is None:
-            return None
-        self._next_index[side] += 1
-        row = self._get_blob_row(side, bucket_number)
-        return self._ingest_bucket(side, bucket_number, row)
-
     def _get_blob_row(self, side: int, bucket_number: int):
         """The metered point get of one bucket's blob row (the part of a
         fetch that runs inside a scatter task on multi-server topologies)."""
@@ -175,27 +169,20 @@ class BFHMEstimator:
             self.total_cardinality += max(1.0, estimate.cardinality)
         return produced
 
-    def advance(self, side: int) -> bool:
-        """Fetch + join one bucket from ``side``; False if exhausted."""
-        fetched = self._fetch_bucket(side)
-        if fetched is None:
-            return False
-        self._join_new_bucket(side, fetched)
-        return True
-
     def advance_round(self, sides: "list[int]") -> bool:
         """Fetch the next bucket of every side in ``sides`` as one
         scatter/gather round, then join them in side order.
 
-        Both sides' bucket rows share the row key ``blob_row_key(n)``
-        (one family per relation), so fetches at the same depth usually
-        co-locate on one server and degrade gracefully to a serial round;
-        the overlap shows up when the sides' bucket lists diverge.  Blob
-        decoding (coordinator CPU) stays on the calling thread either
-        way.  Returns False when no side had a bucket left.
+        Every bucket fetch is such a round.  A one-side round, or any round
+        on a single-server topology, runs inline with its charges
+        untouched.  Both sides' bucket rows share the row key
+        ``blob_row_key(n)`` (one family per relation), so fetches at the
+        same depth usually co-locate on one server and degrade gracefully
+        to a serial round; the overlap shows up when the sides' bucket
+        lists diverge.  Blob decoding (coordinator CPU) stays on the
+        calling thread either way.  Returns False when no side had a
+        bucket left.
         """
-        from repro.cluster.executor import ScatterTask, scatter_gather
-
         ctx = self.platform.ctx
         topology = ctx.topology
         table = self.platform.store.backing(BFHM_TABLE)
@@ -208,16 +195,14 @@ class BFHMEstimator:
             plan.append((side, bucket_number))
         if not plan:
             return False
-        tasks = []
-        for side, bucket_number in plan:
-            region = table.region_for(blob_row_key(bucket_number))
-            tasks.append(
-                ScatterTask(
-                    topology.server_for(region),
-                    lambda s=side, b=bucket_number: self._get_blob_row(s, b),
-                )
+        tasks = [
+            executor.ScatterTask(
+                topology.server_for(table.region_for(blob_row_key(bucket_number))),
+                partial(self._get_blob_row, side, bucket_number),
             )
-        rows = scatter_gather(ctx, tasks, label="bfhm_bucket")
+            for side, bucket_number in plan
+        ]
+        rows = executor.scatter_gather(ctx, tasks, label="bfhm_bucket")
         for (side, bucket_number), row in zip(plan, rows):
             fetched = self._ingest_bucket(side, bucket_number, row)
             self._join_new_bucket(side, fetched)
@@ -271,39 +256,40 @@ class BFHMEstimator:
                 return False
         return True
 
+    @property
+    def _sides_per_step(self) -> int:
+        """Sides fetched per round: both at once on a multi-server
+        topology (the fan-out trade of bandwidth for latency), else one,
+        strictly alternating."""
+        return 2 if self.platform.ctx.topology.parallel else 1
+
     def run_until(self, k: int) -> None:
-        """Alternate bucket fetches until the termination test fires or
-        both relations are exhausted."""
+        """Fetch bucket rounds until the termination test fires or both
+        relations are exhausted.  A round takes the next
+        ``_sides_per_step`` non-exhausted sides in alternation, so a
+        multi-server run may fetch up to one bucket more than serial
+        alternation before the test fires."""
+        per_step = self._sides_per_step
         side = 0
         while not self.should_terminate(k):
-            if self.side_exhausted(0) and self.side_exhausted(1):
-                break
-            if self.side_exhausted(side):
-                side = 1 - side
-            self.advance(side)
-            side = 1 - side
-
-    def run_until_scatter(self, k: int) -> None:
-        """:meth:`run_until` for multi-server topologies: each round
-        fetches one bucket of *every* non-exhausted side concurrently
-        instead of strictly alternating.  May fetch up to one bucket more
-        than serial alternation before the termination test fires — the
-        fan-out bandwidth-for-latency trade."""
-        while not self.should_terminate(k):
-            sides = [side for side in (0, 1) if not self.side_exhausted(side)]
+            sides = [
+                s for s in (side, 1 - side) if not self.side_exhausted(s)
+            ][:per_step]
             if not sides:
                 break
-            if not self.advance_round(sides):
-                break
+            self.advance_round(sides)
+            side = 1 - sides[-1]
 
-    def force_fetch(self, side: int) -> bool:
-        """Recall-repair hook: unconditionally pull one more bucket."""
-        return self.advance(side)
-
-    def force_fetch_round(self, sides: "list[int]") -> bool:
-        """Recall-repair hook, scatter form: pull one more bucket from
-        every side in ``sides`` as one parallel round."""
-        return self.advance_round(sides)
+    def fetch(self, sides: "list[int]") -> bool:
+        """Recall-repair hook: unconditionally pull one more bucket from
+        every side in ``sides``, ``_sides_per_step`` sides per round.
+        False if no side had a bucket left."""
+        per_step = self._sides_per_step
+        progressed = False
+        for start in range(0, len(sides), per_step):
+            step = sides[start : start + per_step]
+            progressed = self.advance_round(step) or progressed
+        return progressed
 
 
 def decode_plain_bucket_row(signature: str, bucket: int, row) -> BFHMBucketData:

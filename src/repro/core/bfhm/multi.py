@@ -152,9 +152,6 @@ class BFHMCascadeRankJoin(RankJoinAlgorithm):
     name = "BFHM-cascade"
     max_arity = None
 
-    #: process-wide counter making temp table names unique
-    _temp_seq = 0
-
     def __init__(
         self,
         platform: Platform,
@@ -334,8 +331,7 @@ class BFHMCascadeRankJoin(RankJoinAlgorithm):
         """Write one stage's ``(row key, join value, true partial score)``
         rows as a temporary relation (metered puts), scores normalized into
         the index's [0, 1] domain, and bind it for the next binary stage."""
-        BFHMCascadeRankJoin._temp_seq += 1
-        table_name = f"bfhm_cascade_tmp_{BFHMCascadeRankJoin._temp_seq}"
+        table_name = self.platform.store.temp_table_name("bfhm_cascade_tmp_")
         norm = upper if upper > 0 else 1.0
         rows = [
             (row_key, join_value, min(1.0, score / norm))
@@ -447,7 +443,7 @@ class BFHMCascadeRankJoin(RankJoinAlgorithm):
         Besides the temp tables themselves, every per-stage index build
         registered build reports and BFHM metas under the temp signature;
         left behind, they would grow without bound across queries (temp
-        names are globally unique by construction)."""
+        names are unique per store by construction)."""
         for table_name in temp_tables:
             if self.platform.store.has_table(table_name):
                 self.platform.store.drop_table(table_name)

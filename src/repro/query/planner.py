@@ -2004,7 +2004,7 @@ class _BFHMCascadeReplay:
     def side_exhausted(self, side: int) -> bool:
         return self.nxt[side] >= len(self.profiles[side].counts)
 
-    def advance(self, side: int) -> bool:
+    def fetch_next(self, side: int) -> bool:
         """Fetch + join one bucket from ``side``; False if exhausted."""
         if self.side_exhausted(side):
             return False
@@ -2067,7 +2067,7 @@ class _BFHMCascadeReplay:
                 break
             if self.side_exhausted(side):
                 side = 1 - side
-            self.advance(side)
+            self.fetch_next(side)
             side = 1 - side
 
     # -- phase 2 (purge + re-admission, in expectation) --------------------
@@ -2258,7 +2258,7 @@ class _BFHMCascadeReplay:
                     break
                 progressed = False
                 for side in violating:
-                    progressed = self.advance(side) or progressed
+                    progressed = self.fetch_next(side) or progressed
                 if not progressed:
                     break
             else:
@@ -2269,8 +2269,8 @@ class _BFHMCascadeReplay:
                 if len(self.fetched[0]) + len(self.fetched[1]) == before:
                     # estimation thinks it is done; force both sides, as
                     # the execution loop does
-                    progressed = self.advance(0)
-                    progressed = self.advance(1) or progressed
+                    progressed = self.fetch_next(0)
+                    progressed = self.fetch_next(1) or progressed
                     if not progressed:
                         break
             included, _, readmitted = self.phase2(k)

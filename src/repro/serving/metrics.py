@@ -12,6 +12,11 @@ back to the original shared collector outside any scope.
 Charges are deterministic functions of the store state and the query, so a
 query executed inside a scope produces exactly the metrics it would have
 produced running alone — the property the concurrency test suite pins.
+
+Only :class:`~repro.serving.server.QueryServer` installs the router; a
+platform no server has touched keeps its plain collector.  Scatter rounds
+need no router either: they charge whichever collector ``ctx.metrics``
+resolves to on the calling thread.
 """
 
 from __future__ import annotations
@@ -32,11 +37,6 @@ class ThreadLocalMetricsRouter:
         self._local = threading.local()
 
     @property
-    def base(self) -> MetricsCollector:
-        """The shared collector charges fall through to outside scopes."""
-        return self._base
-
-    @property
     def active(self) -> MetricsCollector:
         """The collector charges from the calling thread currently land on."""
         scoped = getattr(self._local, "collector", None)
@@ -46,16 +46,6 @@ class ThreadLocalMetricsRouter:
         # all MetricsCollector methods and fields (advance_time, snapshot,
         # counters, ...) resolve against the thread's active collector
         return getattr(self.active, name)
-
-    def __reduce__(self):
-        # a router holds a threading.local — meaningless in another
-        # process, and silently pickling it would smuggle a dead collector
-        # across the boundary.  Metric deltas cross process boundaries as
-        # immutable MetricsSnapshot values, never as live collectors.
-        raise TypeError(
-            "ThreadLocalMetricsRouter is process-local; ship "
-            "MetricsSnapshot deltas across process boundaries instead"
-        )
 
     @contextmanager
     def scoped(self, collector: "MetricsCollector | None" = None):

@@ -12,7 +12,9 @@ RPC round trips, network bytes, server disk reads, and KV read units.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator
 
 from repro.cluster.simulation import SimContext
@@ -79,6 +81,9 @@ class Store:
         # drop; statistics catalogs register here so cached statistics and
         # plans derived from dropped index data are invalidated
         self._drop_listeners: "list" = []
+        # next() on a count is one C call, so concurrent queries on this
+        # store never draw the same temp-table number
+        self._temp_numbers = itertools.count(1)
 
     def add_drop_listener(self, listener) -> None:
         """Register a ``(table_name, family | None)`` callable notified
@@ -104,6 +109,12 @@ class Store:
         table.on_family_drop = self._notify_drop
         self._tables[name] = table
         return HTable(self, table)
+
+    def temp_table_name(self, prefix: str) -> str:
+        """``prefix`` plus a number unique on this store, counted from 1
+        on every fresh store: a name, and so every byte it is metered
+        at, depends on this store's history alone."""
+        return f"{prefix}{next(self._temp_numbers)}"
 
     def table(self, name: str) -> "HTable":
         """Handle to an existing table."""
@@ -310,6 +321,8 @@ class HTable:
         still return in request order); single-server stays on the seed
         serial path bit-for-bit.
         """
+        if not gets:
+            return []
         if self.ctx.topology.parallel and len(gets) > 1:
             groups: "dict[int, list[int]]" = {}
             for index, get in enumerate(gets):
@@ -317,7 +330,28 @@ class HTable:
                 server_id = self.ctx.topology.server_for(region)
                 groups.setdefault(server_id, []).append(index)
             if len(groups) > 1:
-                return self._multi_get_scatter(gets, groups)
+                from repro.cluster.executor import ScatterTask, scatter_gather
+
+                tasks = [
+                    ScatterTask(
+                        server_id,
+                        partial(self._read_slice, [gets[i] for i in indices]),
+                    )
+                    for server_id, indices in groups.items()
+                ]
+                gathered = scatter_gather(self.ctx, tasks, label="multi_get")
+                results: "list[RowResult | None]" = [None] * len(gets)
+                for indices, slice_results in zip(groups.values(), gathered):
+                    for index, result in zip(indices, slice_results):
+                        results[index] = result
+                return results  # type: ignore[return-value]
+        return self._read_slice(gets)
+
+    def _read_slice(self, gets: "list[Get]") -> list[RowResult]:
+        """Read a non-empty batch of rows and charge it as one RPC per
+        region touched — the whole serial multi-get, or one server's
+        share of a scatter round."""
+        model = self.ctx.cost_model
         results: list[RowResult] = []
         regions_touched = set()
         request_bytes = 0
@@ -332,70 +366,14 @@ class HTable:
             request_bytes += len(get.row)
             response_bytes += result.serialized_size()
             results.append(result)
-        if gets:
-            model = self.ctx.cost_model
-            # one RPC per region touched, so one request header each
-            request_bytes += REQUEST_OVERHEAD_BYTES * len(regions_touched)
-            total = request_bytes + response_bytes
-            self.ctx.metrics.add_network(total)
-            self.ctx.metrics.advance_time(
-                len(regions_touched) * model.rpc_latency_s
-                + model.network_time(total)
-            )
+        # one RPC per region touched, so one request header each
+        request_bytes += REQUEST_OVERHEAD_BYTES * len(regions_touched)
+        total = request_bytes + response_bytes
+        self.ctx.metrics.add_network(total)
+        self.ctx.metrics.advance_time(
+            len(regions_touched) * model.rpc_latency_s + model.network_time(total)
+        )
         return results
-
-    def _multi_get_scatter(
-        self, gets: "list[Get]", groups: "dict[int, list[int]]"
-    ) -> list[RowResult]:
-        """One parallel multi-get round: each region server resolves its
-        slice (charging its reads and per-region RPCs inside the round's
-        captured queue), and the client gathers responses back into
-        request order.  Counters match the serial path exactly; only the
-        simulated time becomes max-over-servers plus dispatch overhead.
-        """
-        from repro.cluster.executor import ScatterTask, scatter_gather
-
-        def server_slice(indices: "list[int]"):
-            def run() -> "list[tuple[int, RowResult]]":
-                model = self.ctx.cost_model
-                picked: "list[tuple[int, RowResult]]" = []
-                regions_touched = set()
-                request_bytes = 0
-                response_bytes = 0
-                for index in indices:
-                    get = gets[index]
-                    region = self.table.region_for(get.row)
-                    regions_touched.add(id(region))
-                    result = region.read_row(get.row, get.families)
-                    self.ctx.charge_server_read(
-                        result.serialized_size(),
-                        max(len(result), 1),
-                        sequential=False,
-                    )
-                    request_bytes += len(get.row)
-                    response_bytes += result.serialized_size()
-                    picked.append((index, result))
-                request_bytes += REQUEST_OVERHEAD_BYTES * len(regions_touched)
-                total = request_bytes + response_bytes
-                self.ctx.metrics.add_network(total)
-                self.ctx.metrics.advance_time(
-                    len(regions_touched) * model.rpc_latency_s
-                    + model.network_time(total)
-                )
-                return picked
-
-            return run
-
-        tasks = [
-            ScatterTask(server_id, server_slice(indices))
-            for server_id, indices in groups.items()
-        ]
-        gathered = scatter_gather(self.ctx, tasks, label="multi_get")
-        results: "list[RowResult | None]" = [None] * len(gets)
-        for slice_results in gathered:
-            for index, result in slice_results:
-                results[index] = result
-        return results  # type: ignore[return-value]
 
     def scan(self, scan: Scan) -> Iterator[RowResult]:
         """Metered scan honoring batching, filters, and limits."""

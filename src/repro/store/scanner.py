@@ -17,8 +17,9 @@ scanner flattens those lists into rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.cluster.simulation import SimContext
 from repro.store.cell import Cell, RowResult
@@ -28,9 +29,6 @@ from repro.store.table import StoreTable
 
 #: response framing overhead per scan RPC
 RESPONSE_OVERHEAD_BYTES = 48
-
-#: one server's scatter share: (round trips, shipped batches by region id)
-_ServerScan = tuple[int, dict[int, list[list[RowResult]]]]
 
 
 @dataclass
@@ -77,30 +75,56 @@ class RegionScanner:
         scan = self.scan
         ctx = self.ctx
         limit = scan.limit
-        caching = max(1, scan.caching)
         regions = self.table.regions_in_range(scan.start_row, scan.stop_row)
 
         if scan.scatter and limit is None and ctx.topology.parallel:
             groups = ctx.topology.assignments(regions)
             if len(groups) > 1:
-                yield from self._iter_scatter(regions, groups)
+                # each region server drains its regions inside one scatter
+                # round; the batches are gathered back in key order
+                from repro.cluster.executor import ScatterTask, scatter_gather
+
+                tasks = [
+                    ScatterTask(server_id, partial(self._drain, server_regions))
+                    for server_id, server_regions in groups.items()
+                ]
+                batches_by_region: dict[int, list[list[RowResult]]] = {}
+                for drained in scatter_gather(ctx, tasks, label="scan"):
+                    batches_by_region.update(drained)
+                for region in regions:
+                    for shipped in batches_by_region[id(region)]:
+                        self.rows_returned += len(shipped)
+                        yield shipped
                 return
 
         for region in regions:
-            # region server streams its slice; each RPC pulls one batch
-            rows = region.scan_rows(scan.start_row, scan.stop_row, scan.families)
-            while True:
-                if limit is not None and self.rows_returned >= limit:
-                    return
-                batch = list(islice(rows, caching))
-                if not batch:
-                    break
-                self.rpc_round_trips += 1
-                shipped = self._ship(batch)
+            if limit is not None and self.rows_returned >= limit:
+                return
+            for shipped in self._region_batches(region):
                 if limit is not None:
                     shipped = shipped[: limit - self.rows_returned]
                 self.rows_returned += len(shipped)
                 yield shipped
+
+    def _region_batches(self, region: Region) -> Iterator[list[RowResult]]:
+        """One region's RPC batches as the server streams its slice, each
+        charged as it is pulled; none is pulled once ``limit`` rows have
+        been returned."""
+        scan = self.scan
+        limit = scan.limit
+        caching = max(1, scan.caching)
+        rows = region.scan_rows(scan.start_row, scan.stop_row, scan.families)
+        while limit is None or self.rows_returned < limit:
+            batch = list(islice(rows, caching))
+            if not batch:
+                return
+            self.rpc_round_trips += 1
+            yield self._ship(batch)
+
+    def _drain(self, regions: list[Region]) -> dict[int, list[list[RowResult]]]:
+        """One server's share of a scatter scan: every batch of each of
+        its ``regions``, by region id."""
+        return {id(region): list(self._region_batches(region)) for region in regions}
 
     def _ship(self, batch: list[RowResult]) -> list[RowResult]:
         """Charge one RPC batch — the server reads every row of it, the
@@ -121,50 +145,3 @@ class RegionScanner:
             RESPONSE_OVERHEAD_BYTES, RESPONSE_OVERHEAD_BYTES + shipped_bytes
         )
         return shipped
-
-    def _iter_scatter(
-        self, regions: list[Region], groups: dict[int, list[Region]]
-    ) -> Iterator[list[RowResult]]:
-        """Parallel scan: each region server streams its regions inside one
-        scatter round (per-batch charges identical to the serial path,
-        captured into that server's queue), then batches are gathered back
-        in global key order.  ``regions`` is already key-ordered and each
-        group preserves that order, so ordering falls out of re-walking
-        ``regions`` against the per-region buffers."""
-        from repro.cluster.executor import ScatterTask, scatter_gather
-
-        scan = self.scan
-        caching = max(1, scan.caching)
-
-        def server_scan(server_regions: list[Region]) -> Callable[[], _ServerScan]:
-            def run() -> _ServerScan:
-                round_trips = 0
-                shipped_by_region: dict[int, list[list[RowResult]]] = {}
-                for region in server_regions:
-                    shipped: list[list[RowResult]] = []
-                    rows = region.scan_rows(
-                        scan.start_row, scan.stop_row, scan.families
-                    )
-                    while batch := list(islice(rows, caching)):
-                        round_trips += 1
-                        shipped.append(self._ship(batch))
-                    shipped_by_region[id(region)] = shipped
-                return round_trips, shipped_by_region
-
-            return run
-
-        tasks = [
-            ScatterTask(server_id, server_scan(server_regions))
-            for server_id, server_regions in groups.items()
-        ]
-        gathered: list[_ServerScan] = scatter_gather(
-            self.ctx, tasks, label="scan"
-        )
-        batches_by_region: dict[int, list[list[RowResult]]] = {}
-        for round_trips, shipped_by_region in gathered:
-            self.rpc_round_trips += round_trips
-            batches_by_region.update(shipped_by_region)
-        for region in regions:
-            for shipped in batches_by_region.get(id(region), []):
-                self.rows_returned += len(shipped)
-                yield shipped

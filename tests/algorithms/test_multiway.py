@@ -410,6 +410,28 @@ class TestNWayGuards:
                 if cell.family.startswith("bfhm_cascade_tmp_")
             ], row.row
 
+    def test_cascade_bill_is_independent_of_process_history(self):
+        """Temp-table names are numbered per store, so a cascade on a fresh
+        platform meters the same bytes however many temp tables another
+        platform in the same process has made before it."""
+        relations = _make_relations(4, "random")
+
+        def cascade(platform):
+            bindings = _load_tables(platform, relations)
+            query = RankJoinQuery(inputs=tuple(bindings),
+                                  function=SumFunction(), k=3)
+            return BFHMCascadeRankJoin(platform), query
+
+        first = Platform(EC2_PROFILE)
+        algorithm, query = cascade(first)
+        bills = [algorithm.execute(query).metrics for _ in range(6)]
+        probe = first.store.temp_table_name("probe_")
+        assert int(probe.removeprefix("probe_")) > 10  # >= 10 temp tables
+
+        second = Platform(EC2_PROFILE)
+        algorithm, query = cascade(second)
+        assert algorithm.execute(query).metrics == bills[0]
+
     def test_cascade_handles_separator_in_row_keys(self):
         """Base row keys containing the composition separator must not
         collide in the intermediate expansion."""

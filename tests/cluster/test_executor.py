@@ -14,6 +14,7 @@ import pytest
 
 from repro.cluster.costmodel import EC2_PROFILE
 from repro.cluster.executor import ScatterTask, in_scatter, scatter_gather
+from repro.cluster.metrics import MetricsCollector
 from repro.platform import Platform
 from repro.store.client import Get, Put
 
@@ -121,6 +122,17 @@ class TestQueueModel:
         assert delta.counters["fanout_tasks"] == 4
         assert delta.counters["fanout_rounds_unit"] == 1
         assert delta.counters["fanout_overlap_saved_s"] >= 0
+
+
+class TestCollector:
+    def test_priced_round_keeps_the_plain_collector(self):
+        platform, htable = _loaded(num_servers=4)
+        collector = platform.ctx.metrics
+        gets = [Get(f"r{i % 8}x{i:02d}", families={"d"}) for i in range(32)]
+        htable.multi_get(gets)
+        assert platform.metrics.counters["fanout_rounds"] == 1
+        assert platform.ctx.metrics is collector
+        assert type(platform.ctx.metrics) is MetricsCollector
 
 
 class TestDeterminism:

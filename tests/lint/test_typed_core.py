@@ -14,6 +14,8 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import os
+import sys
 import typing
 from pathlib import Path
 
@@ -22,6 +24,8 @@ import pytest
 #: keep in sync with the per-module strict blocks in mypy.ini
 TYPED_CORE = [
     "repro.common.types",
+    "repro.cluster.executor",
+    "repro.cluster.metrics",
     "repro.store.cell",
     "repro.store.scanner",
     "repro.core.hrjn",
@@ -86,17 +90,30 @@ def test_mypy_allowlist_matches_typed_core() -> None:
 def test_run_mypy_is_gated() -> None:
     """The lint pipeline must not hard-require mypy at runtime."""
     import subprocess
-    import sys
 
+    env = {name: value for name, value in os.environ.items() if name != "CI"}
     completed = subprocess.run(
         [sys.executable, "-m", "tools.run_mypy"],
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,
         check=False,
+        env=env,
     )
     try:
         import mypy  # noqa: F401
     except ImportError:
         assert completed.returncode == 0
         assert "skipping" in completed.stdout
+
+
+@pytest.mark.parametrize("ci, expected", [("true", 1), ("", 0)])
+def test_run_mypy_fails_under_ci_without_mypy(
+    monkeypatch: pytest.MonkeyPatch, ci: str, expected: int
+) -> None:
+    """Under CI a missing mypy is an error, not a skip."""
+    from tools import run_mypy
+
+    monkeypatch.setitem(sys.modules, "mypy", None)  # makes `import mypy` fail
+    monkeypatch.setenv("CI", ci)
+    assert run_mypy.main([]) == expected

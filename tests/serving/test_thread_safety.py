@@ -16,19 +16,16 @@ unfixed code and never on the fixed code; the stress markers in
 
 from __future__ import annotations
 
-import pickle
 import threading
 
 import pytest
 
 import repro.query.statistics as statistics_module
 from repro.cluster.costmodel import EC2_PROFILE
-from repro.cluster.metrics import MetricsCollector
 from repro.core.bfhm.blobcache import DecodedBlobCache
 from repro.core.bfhm.bucket import encode_blob
 from repro.platform import Platform
 from repro.query.statistics import StatisticsCatalog
-from repro.serving.metrics import ThreadLocalMetricsRouter
 from repro.sketches.hybrid import HybridBloomFilter
 from repro.store.client import Put, Scan
 from repro.tpch.generator import generate
@@ -242,9 +239,3 @@ class TestStoreWritePathConcurrency:
         total = sum(1 for _ in htable.scan(Scan(families={"d"})))
         assert total == len(BASE_KEYS) + writer_count * rows_per_thread
 
-
-class TestProcessBoundaryGuards:
-    def test_router_refuses_to_pickle(self):
-        router = ThreadLocalMetricsRouter(MetricsCollector())
-        with pytest.raises(TypeError, match="MetricsSnapshot"):
-            pickle.dumps(router)
