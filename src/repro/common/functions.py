@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Hashable, Sequence
 
 from repro.errors import QueryError
 
@@ -31,6 +31,16 @@ class AggregateFunction(ABC):
 
     def __call__(self, *scores: float) -> float:
         return self.combine(scores)
+
+    @property
+    def value_key(self) -> Hashable:
+        """Equal for two functions only when they score every input alike:
+        the class of a parameterless built-in, ``(class, weights)`` of a
+        weighted sum, else the object itself (identity — a subclass may
+        hold parameters its ``repr`` does not show).  Caches of values
+        derived from the function key on this."""
+        cls = type(self)
+        return cls if cls in _PARAMETERLESS else self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -82,6 +92,12 @@ class WeightedSumFunction(AggregateFunction):
             )
         return math.fsum(w * s for w, s in zip(self.weights, scores))
 
+    @property
+    def value_key(self) -> Hashable:
+        if type(self) is WeightedSumFunction:
+            return (WeightedSumFunction, self.weights)
+        return self
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"WeightedSumFunction(weights={self.weights})"
 
@@ -103,6 +119,9 @@ class MinFunction(AggregateFunction):
     def combine(self, scores: Sequence[float]) -> float:
         return min(scores)
 
+
+#: built-ins whose instances all score alike (see ``value_key``)
+_PARAMETERLESS = frozenset({SumFunction, ProductFunction, MaxFunction, MinFunction})
 
 _REGISTRY: dict[str, AggregateFunction] = {
     "sum": SumFunction(),

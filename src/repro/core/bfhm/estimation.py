@@ -155,8 +155,7 @@ class BFHMEstimator:
             max_score=self.function(left.max_score, right.max_score),
         )
 
-    def _join_new_bucket(self, side: int, fetched: _FetchedBucket) -> list[EstimatedResult]:
-        produced = []
+    def _join_new_bucket(self, side: int, fetched: _FetchedBucket) -> None:
         for other in self.fetched[1 - side]:
             if side == 0:
                 estimate = self._bucket_join(fetched.data, other.data)
@@ -164,10 +163,8 @@ class BFHMEstimator:
                 estimate = self._bucket_join(other.data, fetched.data)
             if estimate is None:
                 continue
-            produced.append(estimate)
             self.results.append(estimate)
             self.total_cardinality += max(1.0, estimate.cardinality)
-        return produced
 
     def advance_round(self, sides: "list[int]") -> bool:
         """Fetch the next bucket of every side in ``sides`` as one

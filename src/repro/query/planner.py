@@ -29,9 +29,10 @@ never touches the metered data path.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable, NamedTuple
 
 from repro.cluster.costmodel import CostModel
 from repro.common.functions import AggregateFunction
@@ -440,32 +441,33 @@ class _JoinMatcher:
     the grid — never of ``k`` or the scoring function — while one replay
     asks for the same bucket pair once per simulated batch and the next
     plan asks for them all again.  So answers are computed on first
-    request and kept in flat tables sized by the grid: one slot per bucket
-    pair, and per side one slot per (bucket, length of a partner *prefix*
-    ``0..n-1``) — the partner lists the cascade replay asks about, since
-    both sides fetch buckets in order.  Any other partner list is computed
-    afresh.  The planner holds a matcher exactly as long as both side
-    profiles (see :class:`_PreparedSide`).
+    request and kept in a flat table sized by the grid, one slot per
+    bucket pair.  Beside it the matcher keeps what the replays derive from
+    the grid and a scoring function — the HRJN depth replay's
+    :class:`_HRJNTable` and the BFHM cascade replay's bucket-pair joins —
+    one per :attr:`~repro.common.functions.AggregateFunction.value_key`,
+    filled as replays ask.  The planner holds a matcher exactly as long as
+    both side profiles (see :class:`_PreparedSide`), and the tables with it.
     """
 
     def __init__(self, profiles: "tuple[_SideProfile, _SideProfile]") -> None:
+        self.profiles = profiles
         left, right = profiles
+        self._width = len(right.counts)
+        #: (replay, function key, ...) -> table of :meth:`hrjn_table` or
+        #: :meth:`pair_table`
+        self._tables: dict = {}
+        #: per side and bucket, the :class:`_UnionChain` of
+        #: :meth:`union_join` — allocated on first use, which the
+        #: index-scan grid never makes
+        self._unions: "tuple[list, list] | None" = None
         if left.join_profile is None or right.join_profile is None:
             self._vectors = None
             return
         self._vectors = (left.join_vectors, right.join_vectors)
         self._distincts = (left.join_distincts, right.join_distincts)
         self._universe = partition_universe(left.join_profile, right.join_profile)
-        sizes = (len(self._vectors[0]), len(self._vectors[1]))
-        self._width = sizes[1]
-        self._pairs: list = [_UNSET] * (sizes[0] * sizes[1])
-        #: per side: the other side's bucket indexes in fetch order, and
-        #: the memo slots ``bucket * (len(prefix) + 1) + partners``
-        self._prefix = (list(range(sizes[1])), list(range(sizes[0])))
-        self._unions: "tuple[list, list]" = (
-            [_UNSET] * (sizes[0] * (sizes[1] + 1)),
-            [_UNSET] * (sizes[1] * (sizes[0] + 1)),
-        )
+        self._pairs: list = [_UNSET] * (len(left.counts) * self._width)
 
     def __call__(
         self, left_index: int, right_index: int
@@ -486,6 +488,30 @@ class _JoinMatcher:
             self._pairs[slot] = found
         return found
 
+    def hrjn_table(self, function: AggregateFunction) -> "_HRJNTable":
+        """The HRJN depth replay's score table under ``function``."""
+        key = ("hrjn", function.value_key)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = _HRJNTable(self.profiles, function)
+        return table
+
+    def pair_table(
+        self, function: AggregateFunction, m_bits: int, selectivity: float
+    ) -> list:
+        """Slots ``left * width + right`` of the BFHM cascade replay's
+        bucket-pair joins (a :class:`_SimPair`, or ``None`` for a pair
+        whose filters do not intersect) under ``function``, filters of
+        ``m_bits`` bits and the uniform ``selectivity`` a pair falls back
+        on where no join profile covers it."""
+        key = ("bfhm", function.value_key, m_bits, selectivity)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = (
+                [_UNSET] * (len(self.profiles[0].counts) * self._width)
+            )
+        return table
+
     def bucket_distinct(self, side: int, index: int) -> "float | None":
         """Distinct join values in one sim bucket — what its BFHM filter
         actually hashes (duplicate values set the same bit)."""
@@ -503,48 +529,195 @@ class _JoinMatcher:
         at one filter position, and its reverse row is fetched once — so
         reverse-row traffic must be counted against the union, not summed
         per pair.
+
+        Both sides fetch buckets in order, so the partner lists asked of
+        one bucket are mostly prefixes of one growing list: the matcher
+        keeps that list per bucket (its :class:`_UnionChain`), answers a
+        prefix from it and extends it when a list extends it.  Any other
+        list starts a new chain.
         """
         if self._vectors is None:
             return None
-        prefix = self._prefix[side]
-        if partners != prefix[:len(partners)]:
-            return self._union_join(side, index, partners)
-        slot = index * (len(prefix) + 1) + len(partners)
-        found = self._unions[side][slot]
-        if found is _UNSET:
-            found = self._unions[side][slot] = self._union_join(
-                side, index, partners
-            )
-        return found
-
-    def _union_join(
-        self, side: int, index: int, partners: "list[int]"
-    ) -> "tuple[float, float] | None":
         mine = self._vectors[side][index]
         if mine is None:
             return None
+        if self._unions is None:
+            self._unions = (
+                [None] * len(self._vectors[0]), [None] * len(self._vectors[1])
+            )
+        chains = self._unions[side]
+        chain = chains[index]
+        count = len(partners)
+        if chain is not None:
+            known = len(chain.partners)
+            if count <= known and partners == chain.partners[:count]:
+                found = chain.answers[count]
+                if found is _UNSET:
+                    # a length the chain grew past in one step
+                    found = chain.answers[count] = self._extend(
+                        side, mine, _UnionChain(), partners
+                    )
+                return found
+            if count > known and partners[:known] == chain.partners:
+                return self._extend(side, mine, chain, partners)
+        chain = chains[index] = _UnionChain()
+        return self._extend(side, mine, chain, partners)
+
+    def _extend(
+        self,
+        side: int,
+        mine: "dict[int, tuple[float, float]]",
+        chain: "_UnionChain",
+        partners: "list[int]",
+    ) -> "tuple[float, float] | None":
+        """Grow ``chain`` to ``partners`` (which extend its list) and
+        answer for them.
+
+        Partner order is summation order: the union adds up exactly as
+        the caller listed the partners, grown or not.  While each new
+        partner brings only partitions the union lacks, the entries
+        already summed keep their terms and order, so the sums carry on
+        from the last answer, and every length passed on the way gets its
+        answer too; after the first partner that adds to a partition
+        already there, one pass over the whole union answers at the end.
+        """
+        answers = chain.answers
+        answer = answers[-1]
+        start = len(chain.partners)
+        chain.partners = partners[:]
+        answers.extend([_UNSET] * (len(partners) - start))
+        if answer is None:
+            # a partner without a vector is in every extension
+            answers[-1] = None
+            return None
         others = self._vectors[1 - side]
-        # partner order is summation order: floats add up exactly as the
-        # caller listed them
-        union: "dict[int, float]" = {}
-        for partner in partners:
-            vector = others[partner]
+        union = dict(zip(chain.partitions, chain.distincts))
+        carried = True
+        for length in range(start + 1, len(partners) + 1):
+            vector = others[partners[length - 1]]
             if vector is None:
+                answers[-1] = None
                 return None
-            for partition, (_, distinct) in vector.items():
-                union[partition] = union.get(partition, 0.0) + distinct
-        shared = 0.0
-        union_total = 0.0
-        universe = self._universe
-        for partition, distinct in union.items():
-            size = universe.get(partition, 1)
+            if carried and union.keys().isdisjoint(vector):
+                # a new partition's sum would be 0.0 + distinct: the
+                # same float, so the partner's own value goes in
+                added = [
+                    (partition, distinct)
+                    for partition, (_, distinct) in vector.items()
+                ]
+                union.update(added)
+                answer = answers[length] = self._union_total(
+                    mine, added, *answer
+                )
+            else:
+                carried = False
+                get = union.get
+                for partition, (_, distinct) in vector.items():
+                    union[partition] = get(partition, 0.0) + distinct
+        if not carried:
+            answer = answers[-1] = self._union_total(mine, union.items())
+        chain.keep(union)
+        return answer
+
+    def _union_total(
+        self,
+        mine: "dict[int, tuple[float, float]]",
+        union: "Iterable[tuple[int, float]]",
+        shared: float = 0.0,
+        union_total: float = 0.0,
+    ) -> "tuple[float, float]":
+        """``(shared, union_total)`` summed on from the given values over
+        the union's ``(partition, distinct)`` entries, in order."""
+        size_of, cell_of = self._universe.get, mine.get
+        for partition, distinct in union:
+            size = size_of(partition, 1)
             if distinct > size:
                 distinct = size
             union_total += distinct
-            my_cell = mine.get(partition)
+            my_cell = cell_of(partition)
             if my_cell is not None:
                 shared += my_cell[1] * distinct / size
         return shared, union_total
+
+
+class _UnionChain:
+    """The longest partner list one bucket was asked about, the union of
+    those partners' distinct counts — as two lists in the order the
+    partitions were first seen, smaller than the dict they rebuild — and
+    the answer at every prefix length known (``answers[0]`` is the empty
+    list's)."""
+
+    __slots__ = ("partners", "partitions", "distincts", "answers")
+
+    def __init__(self) -> None:
+        self.partners: "list[int]" = []
+        self.partitions: "list[int]" = []
+        self.distincts: "list[float]" = []
+        self.answers: list = [(0.0, 0.0)]
+
+    def keep(self, union: "dict[int, float]") -> None:
+        self.partitions = list(union)
+        self.distincts = list(union.values())
+
+
+class _HRJNTable:
+    """What the HRJN depth replay computes from the grid and the scoring
+    function alone, over one matcher's grid: per left bucket ``i`` the row
+    gate ``f(max_i, top_r)``, the lower corner of the bucket fully seen,
+    and per right bucket ``j`` the pair's ``f(max_i, max_j)``, the pair's
+    fully-seen lower corner ``f(corner_i, corner_j)`` and the matcher's
+    answer for the pair.  A row is made the first time the replay reaches
+    its bucket and grows to the right as the scan does; only frontier
+    buckets — partly seen — are priced afresh by the replay.
+    """
+
+    __slots__ = ("function", "profiles", "corners", "_rows")
+
+    def __init__(
+        self,
+        profiles: "tuple[_SideProfile, _SideProfile]",
+        function: AggregateFunction,
+    ) -> None:
+        self.function = function
+        self.profiles = profiles
+        right = profiles[1]
+        #: lower corner of every right bucket fully seen
+        self.corners = [
+            _seen_floor(right.maxes[j], right.mins[j], 1.0)
+            for j in range(len(right.counts))
+        ]
+        self._rows: "list[tuple | None]" = [None] * len(profiles[0].counts)
+
+    def row(
+        self, index: int, width: int, matcher: "_JoinMatcher | None"
+    ) -> "tuple[float, float, list[float], list[float], list]":
+        """``(gate, corner, highs, corner scores, matcher answers)`` of left
+        bucket ``index``, the lists covering at least ``width`` buckets.
+        (The matcher is passed in, not kept: it holds the table.)"""
+        left, right = self.profiles
+        row = self._rows[index]
+        high = left.maxes[index]
+        if row is None:
+            row = self._rows[index] = (
+                self.function(high, right.top_score),
+                _seen_floor(high, left.mins[index], 1.0),
+                [], [], [],
+            )
+        highs, lows, matched = row[2], row[3], row[4]
+        if len(highs) < width:
+            function, corner = self.function, row[1]
+            for j in range(len(highs), width):
+                highs.append(function(high, right.maxes[j]))
+                lows.append(function(corner, self.corners[j]))
+                matched.append(matcher(index, j) if matcher is not None else None)
+        return row
+
+
+def _seen_floor(high: float, low: float, fraction: float) -> float:
+    """Lowest score of the seen part of a bucket scanned ``fraction``
+    deep: it occupies the upper score range ``[high - fraction * width,
+    high]``."""
+    return high - fraction * (high - low)
 
 
 def _relation_key(stats: TableStatistics) -> "tuple[str, str]":
@@ -687,7 +860,7 @@ class QueryPlanner:
         # a plan is a pure function of (query, statistics, objective);
         # cache it until the statistics catalog sees an invalidation
         key = (
-            query.inputs, query.k, repr(query.function),
+            query.inputs, query.k, query.function.value_key,
             objective, tuple(names),
         )
         shared = self.plan_cache
@@ -1634,6 +1807,12 @@ def _simulate_hrjn(
     def seen_counts(side: int) -> "list[float]":
         return profiles[side].seen_at_depth(consumed[side])
 
+    table = (
+        matcher.hrjn_table(function) if matcher is not None
+        else _HRJNTable(profiles, function)
+    )
+    left_profile, right_profile = profiles
+
     def results_above(threshold: float) -> float:
         """Expected joined results among seen tuples scoring >= threshold.
 
@@ -1641,39 +1820,43 @@ def _simulate_hrjn(
         fraction of the pair's seen score span above the threshold — an
         all-or-nothing midpoint gate makes the expectation jump in coarse
         steps (staying exactly 0 for whole rounds at k=1), while the real
-        operator's realized results arrive continuously."""
+        operator's realized results arrive continuously.  Fully seen
+        pairs read their scores off ``table``."""
         seen_l = seen_counts(0)
         seen_r = seen_counts(1)
         if not seen_l or not seen_r:
             return 0.0
         total = 0.0
-        left_profile, right_profile = profiles
+        width = len(seen_r)
+        corners = table.corners
         for i in range(len(seen_l)):
             if not seen_l[i]:
                 continue
-            hi_l = left_profile.maxes[i]
-            if function(hi_l, right_profile.top_score) < threshold:
+            gate, corner_l, highs, lows, matches_of = table.row(i, width, matcher)
+            if gate < threshold:
                 break  # deeper left buckets score even lower
             frac_l = seen_l[i] / left_profile.counts[i]
-            # the seen portion of a frontier bucket occupies its upper
-            # score range: [hi - frac * width, hi]
-            lo_l = hi_l - frac_l * (hi_l - left_profile.mins[i])
-            for j in range(len(seen_r)):
+            lo_l = corner_l if frac_l == 1.0 else _seen_floor(
+                left_profile.maxes[i], left_profile.mins[i], frac_l
+            )
+            for j in range(width):
                 if not seen_r[j]:
                     continue
-                hi_r = right_profile.maxes[j]
-                hi = function(hi_l, hi_r)
+                hi = highs[j]
                 if hi < threshold:
                     break  # descending scores: later right buckets fail too
                 frac_r = seen_r[j] / right_profile.counts[j]
-                lo = function(
-                    lo_l, hi_r - frac_r * (hi_r - right_profile.mins[j])
-                )
+                if frac_r == 1.0:
+                    lo = lows[j] if frac_l == 1.0 else function(lo_l, corners[j])
+                else:
+                    lo = function(lo_l, _seen_floor(
+                        right_profile.maxes[j], right_profile.mins[j], frac_r
+                    ))
                 if lo >= threshold or hi <= lo:
                     above = 1.0
                 else:
                     above = (hi - threshold) / (hi - lo)
-                matched = matcher(i, j) if matcher is not None else None
+                matched = matches_of[j]
                 if matched is None:
                     matches = selectivity * seen_l[i] * seen_r[j]
                 else:
@@ -1849,10 +2032,12 @@ def _intermediate_profile(
     )
 
 
-@dataclass
-class _SimPair:
+class _SimPair(NamedTuple):
     """One estimated bucket-pair join of the symbolic replay (in
-    expectation what one :class:`EstimatedResult` is in execution)."""
+    expectation what one :class:`EstimatedResult` is in execution).
+    Replays over one matcher share them (:meth:`_JoinMatcher.pair_table`),
+    so they are immutable: a tuple, which builds in half the time of a
+    frozen dataclass."""
 
     weight: float       # expected estimated tuples (incl. false positives)
     true_weight: float  # expected actual join results
@@ -1895,10 +2080,6 @@ class _BFHMSimulation:
     @property
     def readmitted_pairs(self) -> float:
         return sum(entry.readmitted for entry in self.rounds)
-
-
-def _negated_min_score(pair: _SimPair) -> float:
-    return -pair.min_score
 
 
 class _BFHMCascadeReplay:
@@ -1946,12 +2127,20 @@ class _BFHMCascadeReplay:
         self.m_bits = m_bits
         self.selectivity = selectivity
         self.matcher = matcher
+        #: bucket-pair joins of earlier replays under the same function
+        #: and filters (``None`` without a matcher: nothing to share with)
+        self._memo = (
+            matcher.pair_table(function, m_bits, selectivity)
+            if matcher is not None else None
+        )
         self.nxt = [0, 0]
         self.fetched: "tuple[list[int], list[int]]" = ([], [])
         self.pairs: "list[_SimPair]" = []
         #: the same pairs by descending min score, equals in joining order
         #: — what a stable sort of ``pairs`` would give, kept by insertion
+        #: — and their negated min scores, the bisect keys
         self._by_min_score: "list[_SimPair]" = []
+        self._min_keys: "list[float]" = []
         self.total_weight = 0.0
         #: replayed reverse-mapping cache: bucket index -> rows fetched
         self._rows_cached: "tuple[dict[int, float], dict[int, float]]" = ({}, {})
@@ -1959,6 +2148,18 @@ class _BFHMCascadeReplay:
     # -- phase 1 (Algorithms 6/7 in expectation) ---------------------------
 
     def _pair(self, left_index: int, right_index: int) -> "_SimPair | None":
+        memo = self._memo
+        if memo is None:
+            return self._join_pair(left_index, right_index)
+        slot = left_index * len(self.profiles[1].counts) + right_index
+        found = memo[slot]
+        if found is _UNSET:
+            found = memo[slot] = self._join_pair(left_index, right_index)
+        return found
+
+    def _join_pair(
+        self, left_index: int, right_index: int
+    ) -> "_SimPair | None":
         c_l = self.profiles[0].counts[left_index]
         c_r = self.profiles[1].counts[right_index]
         matched = self.matcher(left_index, right_index) if self.matcher else None
@@ -2018,7 +2219,10 @@ class _BFHMCascadeReplay:
             if pair is None:
                 continue
             self.pairs.append(pair)
-            insort(self._by_min_score, pair, key=_negated_min_score)
+            key = -pair.min_score
+            position = bisect_right(self._min_keys, key)
+            self._min_keys.insert(position, key)
+            self._by_min_score.insert(position, pair)
             self.total_weight += pair.weight
         return True
 

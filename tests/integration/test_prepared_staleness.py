@@ -5,7 +5,8 @@ of its work (score profiles, join vectors, memoised bucket-pair joins)
 between plans, valid while the catalog still hands out the statistics
 object it was built from.  Landed maintenance replaces that object; the
 next plan must then be the plan a brand-new planner makes — field for
-field — and nothing may keep the replaced statistics alive.
+field — and nothing may keep the replaced statistics alive, nor the
+tables the planner filled per scoring function beside them.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import gc
 import threading
 import weakref
 
+from repro.common.functions import WeightedSumFunction
 from repro.core.bfhm.algorithm import BFHMRankJoin
 from repro.core.isl import ISLRankJoin
 from repro.maintenance.interceptor import MaintainedRelation
 from repro.query.planner import QueryPlanner
+from repro.query.spec import RankJoinQuery
 from repro.serving.server import QueryServer
 from repro.tpch.loader import lineitem_by_order_binding
 from repro.tpch.queries import q2
@@ -50,6 +53,10 @@ def test_plan_after_maintenance_equals_a_new_planners(fresh_setup):
     first = _pinned(engine.plan(query))
     replaced = weakref.ref(engine.statistics.stats_for(query.right))
     kept = engine.statistics.stats_for(query.left)
+    # every matcher is over lineitem, and holds the plan's function tables
+    matchers = [weakref.ref(matcher) for matcher in engine.planner._matchers.values()]
+    assert matchers
+    assert all(matcher()._tables for matcher in matchers)
 
     _refresh_lineitem(fresh_setup, lineitem)
 
@@ -59,6 +66,31 @@ def test_plan_after_maintenance_equals_a_new_planners(fresh_setup):
     assert engine.statistics.stats_for(query.left) is kept
     gc.collect()
     assert replaced() is None, "something still holds the replaced statistics"
+    assert all(matcher() is None for matcher in matchers), (
+        "something still holds a replaced matcher and its function tables"
+    )
+
+
+def test_equal_weights_share_one_table(fresh_setup):
+    """Function tables are keyed by value: two weighted sums with equal
+    weights — distinct objects, different k — fill and read one table
+    per matcher, another weight gets its own."""
+    engine = fresh_setup.engine
+    twice = [WeightedSumFunction([2.0, 1.0]), WeightedSumFunction([2, 1])]
+    for k, function in zip((10, 30), twice):
+        engine.plan(RankJoinQuery(inputs=q2(k).inputs, function=function, k=k))
+    tables = [
+        key for matcher in engine.planner._matchers.values()
+        for key in matcher._tables
+    ]
+    assert tables and len(tables) == len(set(tables))
+    assert {key[1] for key in tables} == {twice[0].value_key}
+    engine.plan(RankJoinQuery(
+        inputs=q2(10).inputs, function=WeightedSumFunction([3.0, 1.0]), k=10
+    ))
+    assert sum(
+        len(matcher._tables) for matcher in engine.planner._matchers.values()
+    ) == 2 * len(tables)
 
 
 def test_worker_engines_sharing_one_catalog_each_replace_their_own(fresh_setup):

@@ -111,3 +111,43 @@ class TestMonotonicity:
                 return -math.fsum(values)
 
         assert not check_monotone_pair(Bad(), (0.1, 0.1), (0.5, 0.5))
+
+
+class TestValueKey:
+    def test_parameterless_builtins_key_on_their_class(self):
+        assert SumFunction().value_key == SumFunction().value_key
+        assert resolve_function("+").value_key == resolve_function("sum").value_key
+        keys = {
+            fn().value_key
+            for fn in (SumFunction, ProductFunction, MaxFunction, MinFunction)
+        }
+        assert len(keys) == 4
+
+    def test_weighted_sums_key_on_their_weights(self):
+        assert (
+            WeightedSumFunction([2.0, 1.0]).value_key
+            == WeightedSumFunction([2, 1]).value_key
+        )
+        assert (
+            WeightedSumFunction([2.0, 1.0]).value_key
+            != WeightedSumFunction([1.0, 2.0]).value_key
+        )
+        assert (
+            WeightedSumFunction([1.0, 1.0]).value_key != SumFunction().value_key
+        )
+
+    def test_subclasses_key_on_identity(self):
+        """A subclass may carry parameters its class name does not show."""
+
+        class Halved(SumFunction):
+            def combine(self, values):
+                return math.fsum(values) / 2
+
+        class Weighted(WeightedSumFunction):
+            pass
+
+        assert Halved().value_key != Halved().value_key
+        assert Halved().value_key != SumFunction().value_key
+        fn = Weighted([1.0, 1.0])
+        assert fn.value_key is fn
+        assert fn.value_key != Weighted([1.0, 1.0]).value_key

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
 
+from repro.bench.harness import build_setup
 from repro.cluster.costmodel import EC2_PROFILE, LC_PROFILE
+from repro.common.functions import AggregateFunction, WeightedSumFunction
 from repro.common.serialization import encode_float, encode_str
 from repro.errors import PlanningError, QueryError
 from repro.query import planner as planner_module
@@ -15,6 +18,7 @@ from repro.query.parser import parse_rank_join
 from repro.query.planner import (
     CostEstimate,
     CostLedger,
+    QueryPlanner,
     _golomb_blob_bytes,
     _join_selectivity,
     _profile,
@@ -26,11 +30,12 @@ from repro.query.statistics import (
     StatisticsCatalog,
     gather_statistics,
 )
+from repro.query.spec import RankJoinQuery
 from repro.relational.binding import RelationBinding
 from repro.store.client import Put
 from repro.store.table import StoreTable
 from repro.tpch.queries import q1, q2
-from tests.integration.test_golden_plans import WEIGHTED_Q2_SQL
+from tests.integration.test_golden_plans import WEIGHTED_Q2_SQL, _pinned, _queries
 
 
 class TestCostLedger:
@@ -311,6 +316,70 @@ class TestPlanner:
         assert {e.algorithm for e in plan.estimates} == {"ISL", "HIVE"}
 
 
+def _reference_union_join(matcher, side, index, partners):
+    """``union_join`` computed from scratch for every call, as the planner
+    did before it kept one union per bucket."""
+    mine = matcher._vectors[side][index]
+    if mine is None:
+        return None
+    others = matcher._vectors[1 - side]
+    union = {}
+    for partner in partners:
+        vector = others[partner]
+        if vector is None:
+            return None
+        for partition, (_, distinct) in vector.items():
+            union[partition] = union.get(partition, 0.0) + distinct
+    shared = 0.0
+    union_total = 0.0
+    for partition, distinct in union.items():
+        size = matcher._universe.get(partition, 1)
+        if distinct > size:
+            distinct = size
+        union_total += distinct
+        my_cell = mine.get(partition)
+        if my_cell is not None:
+            shared += my_cell[1] * distinct / size
+    return shared, union_total
+
+
+def test_union_join_answers_as_if_computed_afresh(shared_setup):
+    """The union memo answers prefixes, grows lists that extend the one a
+    bucket was last asked about and starts over on any other: every answer
+    is bit for bit the from-scratch one, partners without a join vector
+    included."""
+    query = q2(1)
+    stats = [
+        gather_statistics(shared_setup.platform, binding)
+        for binding in query.inputs
+    ]
+    matcher = planner_module._JoinMatcher((_profile(stats[0]), _profile(stats[1])))
+    vectors = [list(side) for side in matcher._vectors]
+    rng = random.Random(5)
+    for side in vectors:
+        for index in rng.sample(range(len(side)), 3):
+            side[index] = None
+    matcher._vectors = tuple(vectors)
+    last: "dict[tuple[int, int], list[int]]" = {}
+    for _ in range(600):
+        side = rng.randrange(2)
+        index = rng.randrange(len(vectors[side]))
+        width = len(vectors[1 - side])
+        previous = last.get((side, index), [])
+        draw = rng.random()
+        if draw < 0.4:
+            partners = list(range(rng.randint(1, width)))
+        elif draw < 0.8 and len(previous) < width:
+            grown = max(previous, default=-1) + 1
+            partners = previous + list(range(grown, min(width, grown + rng.randint(1, 6))))
+        else:
+            partners = sorted(rng.sample(range(width), rng.randint(1, width)))
+        last[(side, index)] = partners
+        assert matcher.union_join(side, index, partners) == _reference_union_join(
+            matcher, side, index, partners
+        ), (side, index, partners)
+
+
 class TestPreparedInputs:
     """What depends only on the statistics is built once, not per plan."""
 
@@ -386,3 +455,68 @@ class TestPrivatePlanCache:
         # the novel shapes went out oldest first
         assert tiny_engine.plan(q1(71), algorithms=["hive"]) is novel[71]
         assert tiny_engine.plan(q1(2), algorithms=["hive"]) is not novel[2]
+
+
+class Scaled(AggregateFunction):
+    """``c * s0 + s1``: a parametrised function whose repr hides ``c``."""
+
+    name = "scaled"
+
+    def __init__(self, c: float) -> None:
+        self.c = c
+
+    def combine(self, scores):
+        return self.c * scores[0] + scores[1]
+
+
+def _with_function(query, function, k=None):
+    return RankJoinQuery(
+        inputs=query.inputs, function=function, k=query.k if k is None else k
+    )
+
+
+class TestFunctionKeys:
+    """What the planner caches per scoring function is keyed by value."""
+
+    def test_parametrised_functions_get_their_own_plans(self, shared_setup):
+        engine = RankJoinEngine(shared_setup.platform)
+        one = _with_function(q2(10), Scaled(1.0))
+        five = _with_function(q2(10), Scaled(5.0))
+        first = engine.plan(one)
+        second = engine.plan(five)
+        assert second is not first
+        fresh = QueryPlanner(engine, catalog=engine.statistics)
+        assert _pinned(second) == _pinned(fresh.plan(five))
+        assert _pinned(second) != _pinned(first)
+        # an identity key still caches the function's own repeat
+        assert engine.plan(five) is second
+
+    def test_equal_weights_share_a_cached_plan(self, tiny_engine):
+        first = tiny_engine.plan(_with_function(q2(5), WeightedSumFunction([2.0, 1.0])))
+        again = tiny_engine.plan(_with_function(q2(5), WeightedSumFunction([2, 1])))
+        assert again is first
+
+
+@pytest.mark.parametrize("servers", (1, 4))
+def test_plan_order_changes_no_estimate(servers):
+    """Plans read tables other plans filled — and the union memo resumes
+    from whatever the previous call left — so a planner that priced other
+    shapes first must still give every shape, field for field, the plan a
+    brand-new planner gives it."""
+    setup = build_setup(EC2_PROFILE, micro_scale=0.2, seed=42, num_servers=servers)
+    engine = setup.engine
+    shapes = dict(_queries())
+    shapes["Q2w3a_k20"] = _with_function(q2(20), WeightedSumFunction([3.0, 1.0]))
+    shapes["Q2w3b_k40"] = _with_function(q2(40), WeightedSumFunction([3.0, 1.0]))
+    shapes["Q2w1-3_k20"] = _with_function(q2(20), WeightedSumFunction([1.0, 3.0]))
+    order = sorted(shapes)
+    random.Random(20140707).shuffle(order)
+    for state in ("unbuilt", "built"):
+        if state == "built":
+            engine.prepare(q1(1))
+            engine.prepare(q2(1))
+        for label in order:
+            fresh = QueryPlanner(engine, catalog=engine.statistics)
+            assert _pinned(engine.plan(shapes[label])) == _pinned(
+                fresh.plan(shapes[label])
+            ), f"{state}/{label}"
