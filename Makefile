@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test stress chaos bench bench-planner bench-wallclock bench-multiway bench-sketch bench-serving bench-ingest bench-scatter bench-all lint lint-changed docs-check examples reach all
+.PHONY: test stress chaos bench regen lint lint-changed docs-check examples reach all
 
 ## tier-1: the full suite (unit + algorithms + integration + benchmarks)
 test:
@@ -22,58 +22,22 @@ chaos:
 bench:
 	$(PYTHON) -m pytest benchmarks/ -q
 
-## planner-accuracy grid (fig7+fig8 hit rate + per-cell regret); the suite
-## fails on any difference from the committed BENCH_planner.json
-## (simulated-only, so deterministic) and the diff shows what moved
-bench-planner:
-	BENCH_PLANNER_OUT=BENCH_planner.candidate.json $(PYTHON) -m pytest benchmarks/test_planner_accuracy.py -q
-	$(PYTHON) tools/bench_diff.py BENCH_planner.json BENCH_planner.candidate.json
+## every committed simulated artefact (golden_*.json, BENCH_*.json)
+## rewritten from this checkout by the suites that gate it exactly;
+## `git diff` then shows what moved (CI fails on any diff).  Wall-clock
+## speed is measured by perf/ (`python3 perf/run.py`), not here.
+COMMITTED_SUITES := \
+	benchmarks/test_planner_accuracy.py \
+	benchmarks/test_multiway.py \
+	benchmarks/test_scatter.py \
+	tests/integration/test_single_server_identity.py \
+	tests/integration/test_golden_plans.py \
+	tests/integration/test_multiway_four_server.py \
+	tests/integration/test_result_rows.py \
+	tests/unit/test_mapreduce.py
 
-## wall-clock read-path micro-benchmarks, diffed against the committed
-## BENCH_read_path.json baseline (warns, never fails, on regression)
-bench-wallclock:
-	BENCH_OUT=BENCH_read_path.candidate.json $(PYTHON) -m pytest benchmarks/test_wallclock.py -q
-	$(PYTHON) tools/bench_diff.py BENCH_read_path.json BENCH_read_path.candidate.json
-
-## n-way (3/4-way) grid: simulated per-cell costs of the three multi-way
-## strategies; the suite fails on any difference from the committed
-## BENCH_multiway.json (simulated-only, so deterministic) and the diff
-## shows what moved
-bench-multiway:
-	BENCH_MULTIWAY_OUT=BENCH_multiway.candidate.json $(PYTHON) -m pytest benchmarks/test_multiway.py -q
-	$(PYTHON) tools/bench_diff.py BENCH_multiway.json BENCH_multiway.candidate.json
-
-## sketch (Golomb blob) encode/decode/membership micro-benchmarks, diffed
-## against the committed BENCH_sketch.json baseline (warn-only)
-bench-sketch:
-	BENCH_SKETCH_OUT=BENCH_sketch.candidate.json $(PYTHON) -m pytest benchmarks/test_sketch.py -q
-	$(PYTHON) tools/bench_diff.py BENCH_sketch.json BENCH_sketch.candidate.json
-
-## concurrent query serving: QPS, latency percentiles, plan-cache hit rate,
-## speedup over uncached per-query execution; diffed against the committed
-## BENCH_serving.json baseline (warn-only)
-bench-serving:
-	BENCH_SERVING_OUT=BENCH_serving.candidate.json $(PYTHON) -m pytest benchmarks/test_serving.py -q
-	$(PYTHON) tools/bench_diff.py BENCH_serving.json BENCH_serving.candidate.json
-
-## sustained-ingest benchmark for the async maintenance pipeline: submit /
-## drain / inline-apply timings with query results pinned at every drain
-## point; diffed against the committed BENCH_ingest.json (warn-only)
-bench-ingest:
-	BENCH_INGEST_OUT=BENCH_ingest.candidate.json $(PYTHON) -m pytest benchmarks/test_ingest.py -q
-	$(PYTHON) tools/bench_diff.py BENCH_ingest.json BENCH_ingest.candidate.json
-
-## multi-server scatter/gather fan-out: simulated-clock speedup of 4
-## region servers over 1 on scan / multi-get / ISL / BFHM workloads; the
-## suite fails on any difference from the committed BENCH_scatter.json
-## (simulated-only, so deterministic) and the diff shows what moved
-bench-scatter:
-	BENCH_SCATTER_OUT=BENCH_scatter.candidate.json $(PYTHON) -m pytest benchmarks/test_scatter.py -q
-	$(PYTHON) tools/bench_diff.py BENCH_scatter.json BENCH_scatter.candidate.json
-
-## one greppable trajectory table over every committed BENCH_*.json
-bench-all:
-	$(PYTHON) tools/bench_summary.py
+regen:
+	$(PYTHON) -m pytest -q --regenerate $(COMMITTED_SUITES)
 
 ## repro-lint (lock discipline / determinism / metering / exception
 ## safety), the gated typed-core mypy check, and the docs checks

@@ -13,15 +13,11 @@ and that ``algorithm="auto"`` plans and runs end to end.
 The per-cell report (simulated seconds, network bytes, KV reads, and the
 planner's pick) is simulated-only, hence a pure function of seed and store
 state: the suite fails on *any* difference from the committed
-``BENCH_multiway.json``.  Run through ``make bench-multiway`` the report
-is also written to a candidate JSON (via ``BENCH_MULTIWAY_OUT``) so
-``tools/bench_diff.py`` can show what moved.
+``BENCH_multiway.json``, and ``make regen`` rewrites it.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 
 import pytest
@@ -31,6 +27,7 @@ from repro.cluster.costmodel import EC2_PROFILE
 from repro.query.spec import RankJoinQuery
 from repro.relational.binding import RelationBinding, load_relation
 from repro.relational.naive import naive_rank_join
+from tests.committed import assert_matches_committed
 
 MICRO_SCALE = 0.3
 SEED = 42
@@ -127,19 +124,12 @@ class TestMultiwayGrid:
         for stage in ("s1 ", "s2 ", "s3 "):
             assert any(c.startswith(stage) for c in estimate.breakdown), stage
 
-    def test_report_matches_committed_baseline(self, multiway_setup):
+    def test_report_matches_committed_baseline(self, multiway_setup, regenerate):
         """Exact match: the report is simulated-only (a change that moves
         it must re-commit ``BENCH_multiway.json``)."""
-        with open(BASELINE_PATH) as fh:
-            assert _report(multiway_setup) == json.load(fh)
-
-    def test_bench_multiway_report_written(self, multiway_setup):
-        out_path = os.environ.get("BENCH_MULTIWAY_OUT")
-        if not out_path:
-            pytest.skip("BENCH_MULTIWAY_OUT not set; not writing a report")
-        with open(out_path, "w") as fh:
-            json.dump(_report(multiway_setup), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        assert_matches_committed(
+            BASELINE_PATH, _report(multiway_setup), regenerate=regenerate
+        )
 
 
 def _report(setup) -> dict:

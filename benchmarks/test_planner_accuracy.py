@@ -21,21 +21,16 @@ within 15% of measured (asserted below).
 
 The grid runs on the simulated clock, so the per-cell report is a pure
 function of the code: the suite fails on any difference from the committed
-``BENCH_planner.json``.  ``make bench-planner`` also writes the report to
-a candidate JSON (via ``BENCH_PLANNER_OUT``) and diffs the two, which
-shows what moved.
+``BENCH_planner.json``, and ``make regen`` rewrites it.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
-
-import pytest
 
 from benchmarks.conftest import KS
 from repro.tpch.queries import q1, q2
+from tests.committed import assert_matches_committed
 
 #: candidate pools mirror the algorithms each figure evaluates
 EC2_ALGORITHMS = ["hive", "pig", "ijlmr", "isl", "bfhm"]
@@ -195,22 +190,14 @@ class TestPlannerAccuracy:
             for note in plan.estimate("bfhm").notes
         )
 
-    def test_report_matches_committed_baseline(self, ec2_setup, lc_setup):
+    def test_report_matches_committed_baseline(self, ec2_setup, lc_setup,
+                                               regenerate):
         """The grid is simulated, hence deterministic: any drift from the
         committed baseline is a bug (or an intentional cost-model change
         that must re-commit ``BENCH_planner.json``)."""
-        with open(BASELINE_PATH) as fh:
-            assert _report(ec2_setup, lc_setup) == json.load(fh)
-
-    def test_bench_planner_report_written(self, ec2_setup, lc_setup):
-        """Write per-cell regrets when BENCH_PLANNER_OUT names a path
-        (the `make bench-planner` flow, diffed via tools/bench_diff.py)."""
-        out_path = os.environ.get("BENCH_PLANNER_OUT")
-        if not out_path:
-            pytest.skip("BENCH_PLANNER_OUT not set; not writing a report")
-        with open(out_path, "w") as fh:
-            json.dump(_report(ec2_setup, lc_setup), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        assert_matches_committed(
+            BASELINE_PATH, _report(ec2_setup, lc_setup), regenerate=regenerate
+        )
 
     def test_never_picks_a_mapreduce_baseline(self, ec2_setup, benchmark):
         """Coordinator algorithms dominate interactive queries on both

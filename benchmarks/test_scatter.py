@@ -24,15 +24,11 @@ HBase deployments see scatter wins mostly on multi-region reads.
 
 The report is simulated-only, hence a pure function of seed and store
 state: the suite fails on *any* difference from the committed
-``BENCH_scatter.json``.  Run through ``make bench-scatter`` the report is
-also written to a candidate JSON (via ``BENCH_SCATTER_OUT``) so
-``tools/bench_diff.py`` can show what moved.
+``BENCH_scatter.json``, and ``make regen`` rewrites it.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 
 import pytest
@@ -42,6 +38,7 @@ from repro.cluster.costmodel import EC2_PROFILE
 from repro.store.client import Get, Scan
 from repro.tpch.loader import FAMILY, LINEITEM, ORDERS, PART
 from repro.tpch.queries import q1
+from tests.committed import assert_matches_committed
 
 SCALE = 0.2
 SEED = 42
@@ -209,18 +206,10 @@ class TestScatterBench:
         assert f"topology: {SERVERS} region servers" in rendered
         assert "fanout" in rendered
 
-    def test_report_matches_committed_baseline(self, results):
+    def test_report_matches_committed_baseline(self, results, regenerate):
         """Simulated numbers are deterministic, so any drift from the
         committed baseline is a bug (or an intentional metering change
         that must re-commit ``BENCH_scatter.json``)."""
-        with open(BASELINE_PATH) as fh:
-            assert _report(results) == json.load(fh)
-
-    def test_report_written(self, results):
-        """Write the JSON report when BENCH_SCATTER_OUT names a path."""
-        out_path = os.environ.get("BENCH_SCATTER_OUT")
-        if not out_path:
-            pytest.skip("BENCH_SCATTER_OUT not set; not writing a report")
-        with open(out_path, "w") as fh:
-            json.dump(_report(results), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        assert_matches_committed(
+            BASELINE_PATH, _report(results), regenerate=regenerate
+        )

@@ -738,8 +738,11 @@ class _PreparedSide:
     the catalog hands it a different statistics object.
     """
 
-    def __init__(self, stats: TableStatistics) -> None:
+    def __init__(self, stats: TableStatistics, table_version: int) -> None:
         self.stats = stats
+        #: the catalog's version of the base table when this side was
+        #: built; once it moves, the catalog hands out other statistics
+        self.table_version = table_version
         self._profiles: "dict[int | None, _SideProfile]" = {}
         self._shapes: "dict[int, tuple[dict, tuple[float, float]]]" = {}
 
@@ -823,6 +826,8 @@ class QueryPlanner:
         #: serving layer gives every worker thread its own planner
         self._sides: "dict[tuple[str, str], _PreparedSide]" = {}
         self._matchers: "dict[tuple, _JoinMatcher]" = {}
+        #: the catalog version :meth:`_release_replaced` last pruned at
+        self._released_at = self.catalog.version
         #: optional shared cache (duck-typed; see
         #: :class:`repro.serving.plan_cache.PlanCache`).  When set it
         #: replaces the private dict above, so many planners — one per
@@ -863,6 +868,7 @@ class QueryPlanner:
             query.inputs, query.k, query.function.value_key,
             objective, tuple(names),
         )
+        self._release_replaced()
         shared = self.plan_cache
         versions = None
         if shared is not None:
@@ -937,6 +943,38 @@ class QueryPlanner:
                 lagging[binding.table] = staleness.pending
         return lagging
 
+    def _release_replaced(self) -> None:
+        """Drop what an invalidation has made useless before the next
+        gather, rather than holding it beside the new statistics until a
+        plan first reads those: the prepared sides of relations whose
+        table version moved (with every matcher over them, function
+        tables included), and the private cached plans of older catalog
+        versions, which can never hit again."""
+        catalog = self.catalog
+        version = catalog.version
+        if version == self._released_at:
+            return
+        self._released_at = version
+        self._plan_cache = {
+            key: entry
+            for key, entry in self._plan_cache.items()
+            if entry[0] == version
+        }
+        moved = {
+            key
+            for key, side in self._sides.items()
+            if catalog.table_version(side.stats.binding.table) != side.table_version
+        }
+        if moved:
+            self._sides = {
+                key: side for key, side in self._sides.items() if key not in moved
+            }
+            self._matchers = {
+                pair: matcher
+                for pair, matcher in self._matchers.items()
+                if moved.isdisjoint(pair[:2])
+            }
+
     def _side(self, stats: TableStatistics) -> _PreparedSide:
         """The prepared inputs of ``stats`` — built the first time the
         catalog hands out this statistics object, dropped (with every
@@ -950,7 +988,9 @@ class QueryPlanner:
                 for pair, matcher in self._matchers.items()
                 if key not in pair[:2]
             }
-            side = self._sides[key] = _PreparedSide(stats)
+            side = self._sides[key] = _PreparedSide(
+                stats, self.catalog.table_version(stats.binding.table)
+            )
         return side
 
     def _matcher(

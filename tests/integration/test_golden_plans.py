@@ -20,24 +20,19 @@ The golden was captured on the last commit whose planner rebuilt all of
 its inputs for every plan, and must survive any change to *how* those
 inputs are built or reused.
 
-Regenerate (only when an intentional cost-model change lands)::
-
-    GOLDEN_PLANS_OUT=tests/integration/golden_plans.json \
-        python -m pytest tests/integration/test_golden_plans.py
+Regenerate with ``make regen`` (only when an intentional cost-model change
+lands).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
-
-import pytest
 
 from repro.bench.harness import build_setup
 from repro.cluster.costmodel import EC2_PROFILE, LC_PROFILE
 from repro.query.parser import parse_rank_join
 from repro.tpch.queries import Q2_SQL, q1, q2
+from tests.committed import assert_matches_committed
 
 GOLDEN_PATH = Path(__file__).parent / "golden_plans.json"
 
@@ -109,47 +104,9 @@ def _observe(profile: str, servers: int) -> "dict[str, object]":
     return observed
 
 
-def _mismatches(golden, actual, path="") -> "list[str]":
-    if isinstance(golden, dict) and isinstance(actual, dict):
-        found = [
-            f"{path}.{key}: only in one side"
-            for key in sorted(set(golden) ^ set(actual))
-        ]
-        for key in sorted(set(golden) & set(actual)):
-            found.extend(_mismatches(golden[key], actual[key], f"{path}.{key}"))
-        return found
-    if isinstance(golden, list) and isinstance(actual, list):
-        if len(golden) != len(actual):
-            return [f"{path}: {len(golden)} -> {len(actual)} entries"]
-        found = []
-        for index, (want, got) in enumerate(zip(golden, actual)):
-            found.extend(_mismatches(want, got, f"{path}[{index}]"))
-        return found
-    return [] if golden == actual else [f"{path}: {golden!r} -> {actual!r}"]
-
-
-def test_every_estimate_field_matches_the_golden():
+def test_every_estimate_field_matches_the_golden(regenerate):
     observed = {}
     for profile in PROFILES:
         for servers in SERVERS:
             observed.update(_observe(profile, servers))
-    # what the golden holds is what JSON holds (tuples become lists)
-    observed = json.loads(json.dumps(observed))
-
-    out = os.environ.get("GOLDEN_PLANS_OUT")
-    if out:
-        # one plan per line: a regenerated golden diffs plan by plan
-        with open(out, "w") as fh:
-            fh.write("{\n" + ",\n".join(
-                f"{json.dumps(key)}: {json.dumps(observed[key])}"
-                for key in sorted(observed)
-            ) + "\n}\n")
-        pytest.skip(f"golden regenerated at {out}")
-
-    with open(GOLDEN_PATH) as fh:
-        golden = json.load(fh)
-    mismatches = _mismatches(golden, observed)
-    assert not mismatches, (
-        f"{len(mismatches)} plan fields drifted from golden_plans.json:\n  "
-        + "\n  ".join(mismatches[:40])
-    )
+    assert_matches_committed(GOLDEN_PATH, observed, regenerate=regenerate)

@@ -14,24 +14,18 @@ The golden was captured before the binary and n-way HRJN operators and
 ISL drains were merged into one, so it pins that the merge moved nothing.
 Floats compare exactly (JSON round-trips them losslessly).
 
-Regenerate (only for an intentional metering change)::
-
-    GOLDEN_MULTIWAY_FOUR_SERVER_OUT=tests/integration/golden_multiway_four_server.json \
-        python -m pytest tests/integration/test_multiway_four_server.py
+Regenerate with ``make regen`` (only for an intentional metering change).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
-
-import pytest
 
 from repro.bench.harness import build_setup
 from repro.cluster.costmodel import EC2_PROFILE
 from repro.query.spec import RankJoinQuery
 from repro.relational.binding import RelationBinding
+from tests.committed import assert_matches_committed
 
 GOLDEN_PATH = Path(__file__).parent / "golden_multiway_four_server.json"
 
@@ -83,23 +77,5 @@ def _run_grid() -> "dict[str, dict[str, object]]":
     return cells
 
 
-def test_multiway_four_server_grid_is_bit_identical():
-    cells = _run_grid()
-
-    out = os.environ.get("GOLDEN_MULTIWAY_FOUR_SERVER_OUT")
-    if out:
-        with open(out, "w") as fh:
-            json.dump(cells, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        pytest.skip(f"golden regenerated at {out}")
-
-    with open(GOLDEN_PATH) as fh:
-        golden = json.load(fh)
-    drifted = sorted(
-        name for name in golden if cells.get(name) != golden[name]
-    )
-    assert not drifted, (
-        "n-way four-server metrics drifted from the golden in: "
-        + ", ".join(drifted)
-    )
-    assert set(cells) == set(golden)
+def test_multiway_four_server_grid_is_bit_identical(regenerate):
+    assert_matches_committed(GOLDEN_PATH, _run_grid(), regenerate=regenerate)

@@ -19,6 +19,7 @@ from repro.common.functions import WeightedSumFunction
 from repro.core.bfhm.algorithm import BFHMRankJoin
 from repro.core.isl import ISLRankJoin
 from repro.maintenance.interceptor import MaintainedRelation
+from repro.query import statistics
 from repro.query.planner import QueryPlanner
 from repro.query.spec import RankJoinQuery
 from repro.serving.server import QueryServer
@@ -69,6 +70,35 @@ def test_plan_after_maintenance_equals_a_new_planners(fresh_setup):
     assert all(matcher() is None for matcher in matchers), (
         "something still holds a replaced matcher and its function tables"
     )
+
+
+def test_replaced_state_is_released_before_the_next_gather(fresh_setup, monkeypatch):
+    """The gather that follows an invalidation already runs without the
+    replaced statistics: the planner drops the prepared side, every
+    matcher over it and its stale cached plans first, instead of holding
+    them (a few MB per relation pair) beside the statistics being
+    gathered."""
+    engine = fresh_setup.engine
+    query = q2(20)
+    engine.plan(query)
+    replaced = weakref.ref(engine.statistics.stats_for(query.right))
+    matchers = [weakref.ref(matcher) for matcher in engine.planner._matchers.values()]
+    assert matchers
+
+    alive_at_gather = []
+    gather = statistics.gather_statistics
+
+    def observed_gather(*args, **kwargs):
+        gc.collect()
+        alive_at_gather.append(
+            (replaced() is not None, sum(ref() is not None for ref in matchers))
+        )
+        return gather(*args, **kwargs)
+
+    monkeypatch.setattr(statistics, "gather_statistics", observed_gather)
+    engine.invalidate_statistics(query.right.table)
+    engine.plan(query)
+    assert alive_at_gather == [(False, 0)]
 
 
 def test_equal_weights_share_one_table(fresh_setup):

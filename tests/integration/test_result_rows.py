@@ -12,14 +12,12 @@ and component scores, in result order — for
 
 Floats are compared exactly (JSON round-trips them losslessly).
 
-Regenerate (only when a change is meant to alter result rows)::
-
-    PYTHONPATH=src python tests/integration/test_result_rows.py
+Regenerate with ``make regen`` (only when a change is meant to alter
+result rows).
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
@@ -29,6 +27,7 @@ from repro.cluster.costmodel import EC2_PROFILE
 from repro.query.spec import RankJoinQuery
 from repro.relational.binding import RelationBinding
 from repro.tpch.queries import q1, q2
+from tests.committed import assert_matches_committed
 
 GOLDEN_PATH = Path(__file__).parent / "golden_results.json"
 
@@ -94,15 +93,8 @@ GRIDS = {"two_way": _two_way_cells, "multiway": _multiway_cells}
 
 
 @pytest.mark.parametrize("grid", sorted(GRIDS))
-def test_result_rows_match_golden(grid):
+def test_result_rows_match_golden(grid, regenerate):
     """Every cell returns exactly the pinned tuples, in the pinned order."""
-    cells = GRIDS[grid]()
-    golden = json.loads(GOLDEN_PATH.read_text())[grid]
-    assert sorted(cells) == sorted(golden)
-    drifted = [name for name in sorted(golden) if cells[name] != golden[name]]
-    assert not drifted, f"result rows drifted in: {drifted}"
-
-
-if __name__ == "__main__":
-    golden = {grid: run() for grid, run in GRIDS.items()}
-    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    assert_matches_committed(
+        GOLDEN_PATH, GRIDS[grid](), key=grid, regenerate=regenerate
+    )

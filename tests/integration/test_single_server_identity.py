@@ -20,18 +20,13 @@ Floats are compared exactly: JSON round-trips Python floats losslessly
 (repr-shortest), so any drift — even one reordered floating-point add in a
 charging path — fails here.
 
-Regenerate (only when an intentional metering change lands, with the same
-justification discipline as the Golomb golden vectors)::
-
-    GOLDEN_SINGLE_SERVER_OUT=tests/integration/golden_single_server.json \
-    GOLDEN_FOUR_SERVER_OUT=tests/integration/golden_four_server.json \
-        python -m pytest tests/integration/test_single_server_identity.py
+Regenerate with ``make regen`` (only when an intentional metering change
+lands, with the same justification discipline as the Golomb golden
+vectors).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 
 import pytest
@@ -40,6 +35,7 @@ from repro.bench.harness import build_setup
 from repro.cluster.costmodel import EC2_PROFILE
 from repro.cluster.topology import LocalityBalancer
 from repro.tpch.queries import q1, q2
+from tests.committed import assert_matches_committed
 
 GOLDEN_PATH = Path(__file__).parent / "golden_single_server.json"
 GOLDEN_FOUR_PATH = Path(__file__).parent / "golden_four_server.json"
@@ -51,6 +47,9 @@ GOLDEN_FOUR_PATH = Path(__file__).parent / "golden_four_server.json"
 KS = [1, 10, 50]
 ALGORITHMS = ["isl", "bfhm", "ijlmr", "drjn"]
 QUERIES = [("Q1", q1), ("Q2", q2)]
+
+#: what the single-server golden pins per cell (it predates the rest)
+SINGLE_SERVER_FIELDS = ("time_s", "network_bytes", "kv_reads")
 
 #: four-server layouts: golden key -> balancer factory (None = round-robin)
 FOUR_SERVER_LAYOUTS = {"round_robin": lambda: None, "locality": LocalityBalancer}
@@ -99,45 +98,17 @@ def _run_grid(setup) -> "dict[str, dict[str, object]]":
     return cells
 
 
-def _mismatches(golden, actual, path="") -> "list[str]":
-    """Every leaf of ``golden`` that ``actual`` does not reproduce exactly
-    (``actual`` may carry fields an older golden never pinned)."""
-    if not isinstance(golden, dict):
-        return [] if actual == golden else [f"{path}: {golden!r} -> {actual!r}"]
-    if not isinstance(actual, dict):
-        return [f"{path}: {golden!r} -> {actual!r}"]
-    found = []
-    for key in sorted(golden):
-        where = f"{path}.{key}" if path else key
-        if key not in actual:
-            found.append(f"{where}: missing")
-        else:
-            found.extend(_mismatches(golden[key], actual[key], where))
-    return found
-
-
-def test_single_server_grid_is_bit_identical():
+def test_single_server_grid_is_bit_identical(regenerate):
     """Every grid cell's simulated metrics equal the pre-PR golden exactly."""
-    cells = _run_grid(_pinned_setup())
-
-    out = os.environ.get("GOLDEN_SINGLE_SERVER_OUT")
-    if out:
-        with open(out, "w") as fh:
-            json.dump(cells, fh, indent=1, sort_keys=True)
-        pytest.skip(f"golden regenerated at {out}")
-
-    with open(GOLDEN_PATH) as fh:
-        golden = json.load(fh)
-    assert set(cells) == set(golden)
-    mismatches = _mismatches(golden, cells)
-    assert not mismatches, (
-        "single-server simulated metrics drifted from the pre-scatter "
-        "golden:\n  " + "\n  ".join(mismatches)
-    )
+    cells = {
+        name: {field: cell[field] for field in SINGLE_SERVER_FIELDS}
+        for name, cell in _run_grid(_pinned_setup()).items()
+    }
+    assert_matches_committed(GOLDEN_PATH, cells, regenerate=regenerate)
 
 
 @pytest.mark.parametrize("layout", sorted(FOUR_SERVER_LAYOUTS))
-def test_four_server_grid_is_bit_identical(layout):
+def test_four_server_grid_is_bit_identical(layout, regenerate):
     """Build snapshot and every grid cell (counters included) on four
     region servers equal the committed golden exactly."""
     setup = _pinned_setup(num_servers=4, balancer=FOUR_SERVER_LAYOUTS[layout]())
@@ -145,22 +116,6 @@ def test_four_server_grid_is_bit_identical(layout):
         "build": _pinned(setup.platform.metrics.snapshot()),
         "cells": _run_grid(setup),
     }
-
-    out = os.environ.get("GOLDEN_FOUR_SERVER_OUT")
-    if out:
-        # each layout rewrites only its own key of the shared file
-        path = Path(out)
-        golden = json.loads(path.read_text()) if path.exists() else {}
-        golden[layout] = observed
-        path.write_text(json.dumps(golden, indent=1, sort_keys=True))
-        pytest.skip(f"golden[{layout}] regenerated at {out}")
-
-    with open(GOLDEN_FOUR_PATH) as fh:
-        golden = json.load(fh)[layout]
-    mismatches = _mismatches(golden, observed)
-    assert not mismatches, (
-        f"four-server ({layout}) simulated metrics drifted from the "
-        "golden:\n  " + "\n  ".join(mismatches)
+    assert_matches_committed(
+        GOLDEN_FOUR_PATH, observed, key=layout, regenerate=regenerate
     )
-    # nothing beyond the golden either (a new cell or counter is drift too)
-    assert observed == golden

@@ -1,7 +1,5 @@
 """The MapReduce engine: phases, combiners, locality, accounting."""
 
-import json
-import os
 from pathlib import Path
 
 import pytest
@@ -19,6 +17,7 @@ from repro.mapreduce.job import (
 )
 from repro.platform import Platform
 from repro.store.client import Put
+from tests.committed import assert_matches_committed
 
 
 @pytest.fixture()
@@ -192,10 +191,8 @@ class TestAccounting:
 # the simulated time that follows from it, for a fixed job matrix.  The
 # golden was captured on the last commit that sized a record at every
 # stage it passed through, and must survive any change to *where* a
-# record is sized.  Regenerate (only for an intentional cost change)::
-#
-#     GOLDEN_MR_BYTES_OUT=tests/unit/golden_mr_bytes.json \
-#         python -m pytest tests/unit/test_mapreduce.py -k golden
+# record is sized.  Regenerate with ``make regen`` (only for an
+# intentional cost change).
 
 GOLDEN_MR_BYTES = Path(__file__).parent / "golden_mr_bytes.json"
 
@@ -295,24 +292,13 @@ def _observe_bytes() -> "dict[str, dict]":
     return observed
 
 
-def test_wave_bytes_match_the_golden():
-    observed = json.loads(json.dumps(_observe_bytes()))
+def test_wave_bytes_match_the_golden(regenerate):
+    observed = _observe_bytes()
     # the matrix must exercise both sides of the local/remote split
     assert observed["1w/reduce_collect"]["shuffle_bytes"] == 0
     assert observed["4w/reduce_collect"]["shuffle_bytes"] > 0
 
-    out = os.environ.get("GOLDEN_MR_BYTES_OUT")
-    if out:
-        with open(out, "w") as fh:
-            fh.write("{\n" + ",\n".join(
-                f"{json.dumps(key)}: {json.dumps(observed[key])}"
-                for key in sorted(observed)
-            ) + "\n}\n")
-        pytest.skip(f"golden regenerated at {out}")
-
-    with open(GOLDEN_MR_BYTES) as fh:
-        golden = json.load(fh)
-    assert observed == golden
+    assert_matches_committed(GOLDEN_MR_BYTES, observed, regenerate=regenerate)
 
 
 def test_a_record_is_sized_once_per_stage(monkeypatch):

@@ -12,6 +12,9 @@ Three gates:
 3. **Examples are run** — every ``examples/*.py`` script is named in the
    Makefile's ``examples`` target (which CI runs), so no example can rot
    unrun.
+4. **Make targets exist** — every ``make <target>`` that README.md,
+   ``docs/*.md`` or the CI workflow names is a target of the Makefile, so
+   a renamed or deleted target cannot leave stale instructions behind.
 
 Exits non-zero with a report of every violation.
 """
@@ -28,6 +31,13 @@ SRC_ROOT = REPO_ROOT / "src"
 README = REPO_ROOT / "README.md"
 MAKEFILE = REPO_ROOT / "Makefile"
 EXAMPLES = REPO_ROOT / "examples"
+CI_WORKFLOW = REPO_ROOT / ".github" / "workflows" / "ci.yml"
+
+#: ``make <target>`` in inline code, or leading a code-block or ``run:`` line
+_MAKE_USE_RE = re.compile(
+    r"`make ([\w-]+)|^[ \t]*(?:-[ \t]*)?(?:run:[ \t]*)?make ([\w-]+)", re.MULTILINE
+)
+_MAKE_TARGET_RE = re.compile(r"^([\w-]+):(?!=)", re.MULTILINE)
 
 _CODE_BLOCK_RE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
@@ -95,15 +105,39 @@ def check_examples_run() -> list[str]:
     ]
 
 
+def check_make_targets(
+    makefile: Path = MAKEFILE, documents: "list[Path] | None" = None
+) -> list[str]:
+    """``make <target>`` uses in the docs and CI that the Makefile lacks."""
+    if documents is None:
+        documents = [README, *sorted((REPO_ROOT / "docs").glob("*.md")), CI_WORKFLOW]
+    targets = set(_MAKE_TARGET_RE.findall(makefile.read_text(encoding="utf-8")))
+    problems = []
+    for document in documents:
+        text = document.read_text(encoding="utf-8")
+        for match in _MAKE_USE_RE.finditer(text):
+            target = match.group(1) or match.group(2)
+            if target not in targets:
+                line = text.count("\n", 0, match.start()) + 1
+                problems.append(
+                    f"{document.name}:{line}: names `make {target}`, "
+                    "which the Makefile does not define"
+                )
+    return problems
+
+
 def main() -> int:
-    problems = check_docstrings() + check_examples_run()
+    problems = check_docstrings() + check_examples_run() + check_make_targets()
     readme_problems = check_readme_blocks()
     for problem in problems + readme_problems:
         print(f"docs-check: {problem}")
     if problems or readme_problems:
         print(f"docs-check: FAILED ({len(problems) + len(readme_problems)} problems)")
         return 1
-    print("docs-check: OK (docstrings complete, README blocks run, examples run)")
+    print(
+        "docs-check: OK (docstrings complete, README blocks run, examples run, "
+        "make targets exist)"
+    )
     return 0
 
 
