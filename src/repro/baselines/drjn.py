@@ -181,7 +181,9 @@ class DRJNRankJoin(RankJoinAlgorithm):
 
         job = Job(
             name=f"drjn-pull-{signature}",
-            input_source=TableInput.of(binding.table, {binding.family}),
+            input_source=TableInput.of(
+                binding.table, {binding.family}, keep_splits=True
+            ),
             map_fn=map_fn,
             output=TableOutput(temp_table, skip_wal=True),
         )

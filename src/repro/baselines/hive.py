@@ -13,7 +13,7 @@ bandwidth and time the worst of the lot.
 
 from __future__ import annotations
 
-from repro.common.serialization import decode_float, decode_str, sizeof
+from repro.common.serialization import SizedDict, decode_float, decode_str, sizeof
 from repro.common.types import JoinTuple
 from repro.core.base import RankJoinAlgorithm, _ExecutionDetails
 from repro.mapreduce.job import (
@@ -75,7 +75,9 @@ class HiveRankJoin(RankJoinAlgorithm):
 
         job = Job(
             name="hive-join",
-            input_source=UnionTableInput.of(query.left.table, query.right.table),
+            input_source=UnionTableInput.of(
+                query.left.table, query.right.table, keep_splits=True
+            ),
             map_fn=map_fn,
             reduce_fn=reduce_fn,
             num_reducers=len(self.platform.ctx.cluster.workers),
@@ -144,9 +146,10 @@ def _full_record(binding: RelationBinding, row_key: str, row: RowResult):
     score_raw = row.value(binding.family, binding.score_column)
     if join_raw is None or score_raw is None:
         return None
-    columns = {
+    # every joined row carries this dict, in both jobs: it is sized once
+    columns = SizedDict({
         cell.qualifier: cell.value
         for cell in row.family_cells(binding.family)
         if cell.qualifier not in (binding.join_column, binding.score_column)
-    }
+    })
     return [row_key, decode_str(join_raw), decode_float(score_raw), columns]

@@ -81,7 +81,9 @@ class PigRankJoin(RankJoinAlgorithm):
 
         job = Job(
             name="pig-join",
-            input_source=UnionTableInput.of(query.left.table, query.right.table),
+            input_source=UnionTableInput.of(
+                query.left.table, query.right.table, keep_splits=True
+            ),
             map_fn=map_fn,
             reduce_fn=reduce_fn,
             num_reducers=len(self.platform.ctx.cluster.workers),

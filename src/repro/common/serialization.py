@@ -103,6 +103,27 @@ def _sizeof_mapping(value: dict) -> int:
     )
 
 
+class SizedDict(dict[Any, Any]):
+    """A dict that is sized once: the first :func:`sizeof` of it is kept
+    and every later one returns that number.
+
+    For a mapping that one record carries through several stages, or that
+    many records share (Hive's payload columns): each stage still sizes
+    its record once, but the mapping's items are walked only the first
+    time.  Never mutate one after it has been sized.
+    """
+
+    __slots__ = ("_size",)
+    _size: int
+
+    def serialized_size(self) -> int:
+        try:
+            return self._size
+        except AttributeError:
+            self._size = _sizeof_mapping(self)
+            return self._size
+
+
 #: exact type -> sizer, for the types records are actually made of; a
 #: subclass (IntEnum, namedtuple, OrderedDict, ...) misses here and takes
 #: the ``isinstance`` ladder below, which gives it its base type's size
@@ -116,6 +137,7 @@ _SIZERS: "dict[type, Callable[[Any], int]]" = {
     tuple: _sizeof_sequence,
     list: _sizeof_sequence,
     dict: _sizeof_mapping,
+    SizedDict: SizedDict.serialized_size,
 }
 _sizer_of = _SIZERS.get
 

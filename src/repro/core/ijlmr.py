@@ -141,7 +141,9 @@ class IJLMRRankJoin(RankJoinAlgorithm):
 
         job = Job(
             name=f"ijlmr-query-{left_family}-{right_family}",
-            input_source=TableInput.of(IJLMR_TABLE, {left_family, right_family}),
+            input_source=TableInput.of(
+                IJLMR_TABLE, {left_family, right_family}, keep_splits=True
+            ),
             map_fn=map_fn,
             map_finish_fn=map_finish,
             reduce_fn=reduce_fn,

@@ -56,11 +56,23 @@ class TableInput:
 
     table_name: str
     families: "frozenset[str] | None" = None
+    #: a job that reruns over unchanged data (a query, not a one-shot index
+    #: build): each region keeps the split it reads until its next change,
+    #: so the next such job skips the scan (see "Split planning" in
+    #: docs/ARCHITECTURE.md); the bill is the same either way
+    keep_splits: bool = False
 
     @staticmethod
-    def of(table_name: str, families: "set[str] | None" = None) -> "TableInput":
+    def of(
+        table_name: str,
+        families: "set[str] | None" = None,
+        *,
+        keep_splits: bool = False,
+    ) -> "TableInput":
         return TableInput(
-            table_name, None if families is None else frozenset(families)
+            table_name,
+            None if families is None else frozenset(families),
+            keep_splits,
         )
 
 
@@ -84,11 +96,19 @@ class UnionTableInput:
 
     table_names: tuple[str, ...]
     families: "frozenset[str] | None" = None
+    #: as :attr:`TableInput.keep_splits`
+    keep_splits: bool = False
 
     @staticmethod
-    def of(*table_names: str, families: "set[str] | None" = None) -> "UnionTableInput":
+    def of(
+        *table_names: str,
+        families: "set[str] | None" = None,
+        keep_splits: bool = False,
+    ) -> "UnionTableInput":
         return UnionTableInput(
-            tuple(table_names), None if families is None else frozenset(families)
+            tuple(table_names),
+            None if families is None else frozenset(families),
+            keep_splits,
         )
 
 
@@ -140,6 +160,7 @@ class Job:
     name: str
     input_source: "TableInput | HDFSInput | UnionTableInput"
     map_fn: MapFn
+    #: ``None`` makes a map-only job: the mappers' pairs go to the output
     reduce_fn: "ReduceFn | None" = None
     combiner_fn: "ReduceFn | None" = None
     num_reducers: int = 1
@@ -159,7 +180,3 @@ class Job:
             raise JobConfigurationError(
                 "a combiner without a reducer is not meaningful"
             )
-
-    @property
-    def map_only(self) -> bool:
-        return self.reduce_fn is None

@@ -25,8 +25,10 @@ simulated clock only (:meth:`JobRunner._wave_time`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from functools import partial
+from typing import Any, Callable
 
+from repro.cluster.simulation import Node, SimContext
 from repro.common.serialization import CONTAINER_HEADER_BYTES, sizeof
 from repro.errors import JobConfigurationError
 from repro.mapreduce.hdfs import SimHDFS
@@ -35,25 +37,40 @@ from repro.mapreduce.job import (
     HDFSInput,
     HDFSOutput,
     Job,
+    MapFn,
+    ReduceFn,
     TableInput,
     TableOutput,
     TaskContext,
     UnionTableInput,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.simulation import Node, SimContext
-    from repro.store.client import Store
+from repro.store.cell import Cell
+from repro.store.client import Store
+from repro.store.region import Region
 
 
 @dataclass
 class _Split:
     """One map task's input: records plus placement and size facts."""
 
-    node: "Node"
+    node: Node
     records: list[tuple[Any, Any]]
     input_bytes: int
     kv_cells: int  # store cells scanned (0 for HDFS splits)
+
+
+def _region_split(
+    region: Region, families: "frozenset[str] | None", tag: "str | None"
+) -> _Split:
+    rows = list(region.scan_rows(families=families))
+    records: list[tuple[Any, Any]]
+    if tag is None:
+        records = [(row.row, row) for row in rows]
+    else:
+        records = [(row.row, (tag, row)) for row in rows]
+    input_bytes = sum(row.serialized_size() for row in rows)
+    kv_cells = sum(len(row) for row in rows)
+    return _Split(region.node, records, input_bytes, kv_cells)
 
 
 # -- task execution ----------------------------------------------------------
@@ -82,17 +99,17 @@ class _ReduceOutcome:
     grouped_bytes: int
 
 
-def _group_sorted(pairs: "list[tuple[Any, Any]]") -> "list[tuple[Any, list]]":
-    groups: dict[Any, list] = {}
+def _group_sorted(pairs: "list[tuple[Any, Any]]") -> "list[tuple[Any, list[Any]]]":
+    groups: dict[Any, list[Any]] = {}
     for key, value in pairs:
         groups.setdefault(key, []).append(value)
     return sorted(groups.items(), key=lambda item: item[0])
 
 
 def _execute_map_split(
-    map_fn: "Callable",
-    finish_fn: "Callable | None",
-    combiner_fn: "Callable | None",
+    map_fn: MapFn,
+    finish_fn: "Callable[[TaskContext], None] | None",
+    combiner_fn: "ReduceFn | None",
     records: "list[tuple[Any, Any]]",
 ) -> _MapOutcome:
     """Run one split's map task (map + finish + per-task combine)."""
@@ -120,7 +137,7 @@ def _pair_bytes(pair: "tuple[Any, Any]") -> int:
 
 
 def _execute_reduce_partition(
-    reduce_fn: "Callable", pairs: "list[tuple[Any, Any]]", pairs_bytes: int
+    reduce_fn: ReduceFn, pairs: "list[tuple[Any, Any]]", pairs_bytes: int
 ) -> _ReduceOutcome:
     """Run one reducer's task over its partition of the shuffle.
 
@@ -165,39 +182,45 @@ class JobRunner:
 
     def _table_splits(self, source: TableInput) -> list[_Split]:
         return self._splits_of_table(
-            source.table_name,
-            set(source.families) if source.families is not None else None,
-            tag=None,
+            source.table_name, source.families, None, source.keep_splits
         )
 
     def _splits_of_table(
-        self, table_name: str, families: "set[str] | None", tag: "str | None"
+        self,
+        table_name: str,
+        families: "frozenset[str] | None",
+        tag: "str | None",
+        keep: bool,
     ) -> list[_Split]:
+        """One split per region of ``table_name``; with ``keep``, each is
+        the one the region kept since its last change, if any (see "Split
+        planning" in docs/ARCHITECTURE.md)."""
         table = self.store.backing(table_name)
-        splits = []
-        for region in table.regions:  # lint: disable=RL301 (split planning mirrors HBase's client-side region lookup; map tasks charge the actual scans)
-            rows = list(region.scan_rows(families=families))
-            if tag is None:
-                records = [(row.row, row) for row in rows]
-            else:
-                records = [(row.row, (tag, row)) for row in rows]
-            input_bytes = sum(row.serialized_size() for row in rows)
-            kv_cells = sum(len(row) for row in rows)
-            splits.append(_Split(region.node, records, input_bytes, kv_cells))
-        return splits
+        regions = table.regions  # lint: disable=RL301 (split planning mirrors HBase's client-side region lookup; map tasks charge the actual scans)
+        if not keep:
+            return [_region_split(region, families, tag) for region in regions]
+        return [
+            region.derived(
+                (families, tag), partial(_region_split, region, families, tag)
+            )
+            for region in regions
+        ]
 
     def _union_splits(self, source: UnionTableInput) -> list[_Split]:
-        families = set(source.families) if source.families is not None else None
         splits: list[_Split] = []
         for table_name in source.table_names:
-            splits.extend(self._splits_of_table(table_name, families, tag=table_name))
+            splits.extend(
+                self._splits_of_table(
+                    table_name, source.families, table_name, source.keep_splits
+                )
+            )
         return splits
 
     def _hdfs_splits(self, source: HDFSInput) -> list[_Split]:
-        splits = []
+        splits: list[_Split] = []
         index = 0
         for block in self.hdfs.blocks(source.path):
-            records = []
+            records: list[tuple[Any, Any]] = []
             for record in block.records:
                 records.append((index, record))
                 index += 1
@@ -266,9 +289,11 @@ class JobRunner:
         metrics.advance_time(self._wave_time(task_times))
 
         # ---- map-only jobs write directly from mappers ----
-        if job.map_only:
-            all_pairs = [pair for _, pairs in map_outputs for pair in pairs]
-            self._write_output(job, all_pairs, result)
+        reduce_fn = job.reduce_fn
+        if reduce_fn is None:
+            self._write_output(
+                job, [pair for _, pairs in map_outputs for pair in pairs], result
+            )
             result.sim_time_s = metrics.sim_time_s
             return result
 
@@ -302,7 +327,7 @@ class JobRunner:
         ]
         reduce_outcomes = [
             _execute_reduce_partition(
-                job.reduce_fn, pairs, partition_bytes[reducer_index]
+                reduce_fn, pairs, partition_bytes[reducer_index]
             )
             for reducer_index, _, pairs in reduce_jobs
         ]
@@ -351,8 +376,6 @@ class JobRunner:
             return
 
         if isinstance(output, TableOutput):
-            from repro.store.cell import Cell
-
             table = self.store.backing(output.table_name)
             # materialize every emitted Put into cells first, then hand the
             # whole batch to the table in one apply_batch call (one family

@@ -11,8 +11,10 @@ Entries are keyed by the canonical query shape and validated against the
 :class:`~repro.query.statistics.StatisticsCatalog`'s per-table versions:
 any maintenance mutation or index build/drop
 bumps the versions of the tables it touched through the existing
-interceptor/statistics hooks, which lazily invalidates exactly the cached
-plans that priced those tables.  Eviction is LRU under a fixed capacity.
+interceptor/statistics hooks, which invalidates exactly the cached plans
+that priced those tables: a lookup drops its own stale entry, and every
+store drops all of them, so no replaced statistics outlive the next plan.
+Eviction is LRU under a fixed capacity.
 
 This module is deliberately free of query-layer imports (the planner
 imports nothing from here either — the cache is *injected* into
@@ -76,6 +78,8 @@ class PlanCache:
         self.hits = 0  # guarded-by: _lock
         self.misses = 0  # guarded-by: _lock
         self.evictions = 0  # guarded-by: _lock
+        #: lookups that found their own entry stale (the sweep in
+        #: :meth:`store` drops the others without counting them)
         self.invalidations = 0  # guarded-by: _lock
 
     # -- version bookkeeping -------------------------------------------------
@@ -148,6 +152,16 @@ class PlanCache:
         with self._lock:
             if not self._current(entry):
                 return False  # stale before it ever landed
+            # a stale entry can never hit again, and its plan holds the
+            # statistics it was priced against: drop them all now rather
+            # than when (if ever) their own keys are looked up
+            stale = [
+                cached_key
+                for cached_key, cached in self._entries.items()
+                if not self._current(cached)
+            ]
+            for cached_key in stale:
+                del self._entries[cached_key]
             self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:

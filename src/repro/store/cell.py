@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,31 +66,12 @@ def _visible_of_column(column_cells: "list[Cell]") -> "Cell | None":
     return chosen
 
 
-def resolve_versions(cells: Iterable[Cell]) -> list[Cell]:
-    """Collapse raw (possibly multi-version, possibly deleted) cells into the
-    visible latest version per ``(row, family, qualifier)``.
-
-    Tombstones mask every version of their column with a timestamp less than
-    or equal to the tombstone's, matching HBase delete semantics.
-    """
-    by_column: dict[tuple[str, str, str], list[Cell]] = {}
-    for cell in cells:
-        by_column.setdefault((cell.row, cell.family, cell.qualifier), []).append(cell)
-
-    visible: list[Cell] = []
-    for column_cells in by_column.values():
-        chosen = _visible_of_column(column_cells)
-        if chosen is not None:
-            visible.append(chosen)
-    visible.sort(key=Cell.sort_key)
-    return visible
-
-
 def iter_rows(
-    sorted_cells: Iterable[Cell], families: "set[str] | None" = None
+    sorted_cells: Iterable[Cell], families: "AbstractSet[str] | None" = None
 ) -> "Iterator[RowResult]":
-    """Streaming :func:`resolve_versions` over KeyValue-ordered cells,
-    grouped into per-row results in the same pass.
+    """The visible latest version per ``(row, family, qualifier)`` of
+    KeyValue-ordered raw cells, resolved in one streaming pass and grouped
+    into per-row results in the same pass.
 
     The input must already be sorted by :meth:`Cell.sort_key` (e.g. the
     output of a k-way merge of memtable and SSTable iterators), so all raw
@@ -147,7 +128,7 @@ def iter_rows(
 
 
 def iter_visible(
-    sorted_cells: Iterable[Cell], families: "set[str] | None" = None
+    sorted_cells: Iterable[Cell], families: "AbstractSet[str] | None" = None
 ) -> Iterator[Cell]:
     """The visible cells of :func:`iter_rows`, ungrouped (compaction)."""
     return chain.from_iterable(row.cells for row in iter_rows(sorted_cells, families))

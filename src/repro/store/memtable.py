@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from operator import attrgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.store.cell import Cell
 
@@ -34,6 +34,9 @@ class MemTable:
         self._cells: list[Cell] = []
         self._by_row: dict[str, list[Cell]] = {}
         self._sorted = True
+        #: sort key of the last cell while the list is in order (``None``
+        #: when it is empty); re-derived whenever the list is rebound
+        self._tail_key: "tuple[str, str, str, int] | None" = None
         self._lock = threading.RLock()
         self.byte_size = 0
 
@@ -44,20 +47,43 @@ class MemTable:
     def empty(self) -> bool:
         return not self._cells
 
-    def add(self, cell: Cell) -> None:
-        """Append a cell (kept lazily sorted)."""
+    def extend(self, cells: "Iterable[Cell]") -> None:
+        """Append cells in order (kept lazily sorted).
+
+        While the list is still in KeyValue order each new cell's sort key
+        is compared with the cached key of the tail, so an append builds
+        one sort key, not two."""
         with self._lock:
-            if self._cells and self._sorted:
-                self._sorted = cell.sort_key() >= self._cells[-1].sort_key()
             # appending to the snapshot list is safe: open range iterators
             # captured their upper bound, so they never see the new tail
-            self._cells.append(cell)
-            bucket = self._by_row.get(cell.row)
-            if bucket is None:
-                self._by_row[cell.row] = [cell]
-            else:
-                bucket.append(cell)
-            self.byte_size += cell.serialized_size()
+            stored = self._cells
+            by_row = self._by_row
+            in_order = self._sorted
+            tail = self._tail_key
+            added = 0
+            for cell in cells:
+                if in_order:
+                    key = cell.sort_key()
+                    if tail is not None and key < tail:
+                        in_order = False
+                    else:
+                        tail = key
+                stored.append(cell)
+                bucket = by_row.get(cell.row)
+                if bucket is None:
+                    by_row[cell.row] = [cell]
+                else:
+                    bucket.append(cell)
+                added += cell.serialized_size()
+            self._sorted = in_order
+            self._tail_key = tail
+            self.byte_size += added
+
+    def _reset_tail(self) -> None:
+        """Re-derive the cached tail key after the list was rebound."""
+        self._tail_key = (
+            self._cells[-1].sort_key() if self._sorted and self._cells else None
+        )
 
     def drop_family(self, family: str) -> None:
         """Discard every cell of ``family`` (administrative schema drop).
@@ -71,6 +97,7 @@ class MemTable:
                 by_row.setdefault(cell.row, []).append(cell)
             self._by_row = by_row
             self.byte_size = sum(cell.serialized_size() for cell in self._cells)
+            self._reset_tail()
 
     def _ensure_sorted(self) -> "list[Cell]":
         with self._lock:
@@ -80,6 +107,7 @@ class MemTable:
                 # never shift cells underneath an open scan
                 self._cells = sorted(self._cells, key=Cell.sort_key)
                 self._sorted = True
+                self._reset_tail()
             return self._cells
 
     def cells(self) -> Iterator[Cell]:
@@ -124,5 +152,6 @@ class MemTable:
             self._cells = []
             self._by_row = {}
             self._sorted = True
+            self._tail_key = None
             self.byte_size = 0
             return cells

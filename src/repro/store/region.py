@@ -15,21 +15,21 @@ from __future__ import annotations
 
 import heapq
 import threading
-from typing import TYPE_CHECKING, Iterator
+from typing import AbstractSet, Callable, Hashable, Iterator, Sequence, TypeVar, cast
 
+from repro.cluster.simulation import Node
 from repro.errors import RegionError
-from repro.store.cell import Cell, RowResult, iter_rows, resolve_versions
+from repro.store.cell import Cell, RowResult, iter_rows
 from repro.store.memtable import MemTable
 from repro.store.sstable import SSTable, compact
 from repro.store.wal import WriteAheadLog
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.simulation import Node
 
 #: flush the memtable when it exceeds this many bytes
 DEFAULT_FLUSH_THRESHOLD = 4 * 1024 * 1024
 #: compact when this many segments accumulate
 DEFAULT_COMPACTION_TRIGGER = 4
+
+_T = TypeVar("_T")
 
 
 class Region:
@@ -53,7 +53,12 @@ class Region:
         self.memtable = MemTable()
         self.sstables: list[SSTable] = []
         self.wal = WriteAheadLog()
-        # serializes the mutation path (apply/flush/compact/drop_family);
+        #: key -> value kept by :meth:`derived`; rebound empty by every
+        #: change to what a scan of the region returns (a write batch, a
+        #: flush, a compaction, a family drop), never per cell, so nothing
+        #: stale outlives the contents it was built from
+        self._derived: "dict[Hashable, object]" = {}
+        # serializes the mutation path (apply_batch/flush/compact/drop_family);
         # readers are lock-free against rebound-snapshot structures
         self._lock = threading.RLock()
 
@@ -84,18 +89,44 @@ class Region:
 
     # -- mutation path ------------------------------------------------------
 
-    def apply(self, cell: Cell) -> None:
-        """Apply one mutation (put or tombstone) with WAL + memtable."""
-        if not self.contains(cell.row):
-            raise RegionError(
-                f"row {cell.row!r} outside region [{self.start_key!r}, "
-                f"{self.stop_key!r})"
-            )
+    def apply_batch(self, cells: "Sequence[Cell]") -> None:
+        """Apply mutations (puts or tombstones) in order, with WAL + memtable.
+
+        The batch is checked against the region's range before anything
+        is applied.  Under one lock acquisition the WAL and the memtable
+        are extended once per run of cells between flushes: the memtable
+        flushes after exactly the cell at which applying the cells one by
+        one would have flushed it.  One batch drops the region's derived
+        values once.
+        """
+        if not cells:
+            return
         with self._lock:
-            self.wal.append(cell)
-            self.memtable.add(cell)
-            if self.memtable.byte_size >= self.flush_threshold:
+            threshold = self.flush_threshold
+            size = self.memtable.byte_size
+            cuts: list[int] = []
+            for index, cell in enumerate(cells):
+                if not self.contains(cell.row):
+                    raise RegionError(
+                        f"row {cell.row!r} outside region [{self.start_key!r}, "
+                        f"{self.stop_key!r})"
+                    )
+                size += cell.serialized_size()
+                if size >= threshold:
+                    cuts.append(index + 1)
+                    size = 0
+            begin = 0
+            for cut in cuts:
+                self._append(cells[begin:cut])
                 self.flush()
+                begin = cut
+            if begin < len(cells):
+                self._append(cells[begin:])
+            self._drop_derived()
+
+    def _append(self, cells: "Sequence[Cell]") -> None:
+        self.wal.extend(cells)
+        self.memtable.extend(cells)
 
     def flush(self) -> None:
         """Persist the memtable as a new immutable segment.
@@ -113,6 +144,7 @@ class Region:
             self.sstables = [*self.sstables, segment]
             self.memtable.drain()
             self.wal.truncate_flushed()
+            self._drop_derived()
             if len(self.sstables) >= self.compaction_trigger:
                 self.compact(major=False)
 
@@ -122,6 +154,7 @@ class Region:
             if not self.sstables:
                 return
             self.sstables = [compact(self.sstables, drop_deletes=major)]
+            self._drop_derived()
 
     def drop_family(self, family: str) -> None:
         """Physically discard every cell of ``family`` (memtable, WAL, and
@@ -137,21 +170,46 @@ class Region:
                 elif kept:
                     rebuilt.append(SSTable(kept, presorted=True))
             self.sstables = rebuilt
+            self._drop_derived()
+
+    def _drop_derived(self) -> None:
+        self._derived = {}
+
+    def derived(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """What ``build()`` returns for ``key``: a value derived from this
+        region's contents (a MapReduce split), kept until the region next
+        changes.
+
+        The dict is captured before ``build`` reads: a write that lands
+        during the build rebinds it, so the value goes to the orphaned dict.
+        """
+        cache = self._derived
+        if key in cache:
+            return cast(_T, cache[key])
+        value = build()
+        cache[key] = value
+        return value
 
     # -- read path ------------------------------------------------------------
 
-    def _raw_cells_for_row(self, row: str) -> list[Cell]:
-        cells = self.memtable.cells_for_row(row)
-        for sstable in self.sstables:
-            cells.extend(sstable.cells_for_row(row))
-        return cells
-
     def read_row(self, row: str, families: "set[str] | None" = None) -> RowResult:
-        """Visible cells of one row (point get)."""
-        cells = self._raw_cells_for_row(row)
-        if families is not None:
-            cells = [c for c in cells if c.family in families]
-        return RowResult(row, resolve_versions(cells))
+        """Visible cells of one row (point get).
+
+        Raw cells that all come from one segment are already in KeyValue
+        order; any others are stably sorted (memtable first, so timestamp
+        ties resolve as a scan's merge does) before they stream through
+        :func:`iter_rows`.
+        """
+        cells = self.memtable.cells_for_row(row)
+        in_order = not cells
+        for sstable in self.sstables:
+            found = sstable.cells_for_row(row)
+            if found:
+                in_order = in_order and not cells
+                cells.extend(found)
+        if not in_order:
+            cells.sort(key=Cell.sort_key)
+        return next(iter_rows(cells, families), RowResult(row, []))
 
     def merged_cells(
         self, start_row: "str | None" = None, stop_row: "str | None" = None
@@ -184,7 +242,7 @@ class Region:
         self,
         start_row: "str | None" = None,
         stop_row: "str | None" = None,
-        families: "set[str] | None" = None,
+        families: "AbstractSet[str] | None" = None,
     ) -> Iterator[RowResult]:
         """Resolved rows in ``[start_row, stop_row)`` within this region.
 

@@ -102,20 +102,27 @@ class StoreTable:
     def apply_batch(self, cells: "list[Cell]") -> int:
         """Route a batch of mutations; returns the number of regions touched.
 
-        Families are checked once per distinct family up front and each
-        cell is routed with a single bisect.
+        Families are checked once per distinct family up front.  Each cell
+        is routed with a single bisect, and each region touched applies
+        its share of the batch once, in batch order.
         """
         # validate up front (atomically — no partial application on a bad
         # family); sorted so the family named in the error is deterministic
         for family in sorted({cell.family for cell in cells}):
             self.check_family(family)
-        touched: set[int] = set()
+        start_keys = self._start_keys
+        by_region: dict[int, list[Cell]] = {}
+        for cell in cells:
+            index = bisect_right(start_keys, cell.row)
+            share = by_region.get(index)
+            if share is None:
+                by_region[index] = [cell]
+            else:
+                share.append(cell)
         with self._lock:
-            for cell in cells:
-                region = self.region_for(cell.row)
-                region.apply(cell)
-                touched.add(id(region))
-        return len(touched)
+            for index, share in by_region.items():
+                self.regions[index].apply_batch(share)
+        return len(by_region)
 
     def flush_all(self) -> None:
         """Flush every region (makes all data durable and scannable)."""

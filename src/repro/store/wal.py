@@ -23,7 +23,7 @@ O(affected entries) instead of rescanning the whole log.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from repro.errors import WALError
 from repro.store.cell import Cell
@@ -149,9 +149,10 @@ class WriteAheadLog(SequencedLog):
         super().__init__()
         self._sync_marker = 0
 
-    def append(self, cell: Cell) -> int:
-        """Log one mutation; returns its serialized size."""
-        return self.append_payload(cell, cell.serialized_size(), cell.family).size
+    def extend(self, cells: "Iterable[Cell]") -> None:
+        """Log mutations in order, one record each (a region's write batch)."""
+        for cell in cells:
+            self.append_payload(cell, cell.serialized_size(), cell.family)
 
     def mark_flushed(self) -> None:
         """Record that everything logged so far is durable in segments, so

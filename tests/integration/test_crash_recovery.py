@@ -22,7 +22,7 @@ def _recover(region: Region) -> Region:
     recovered = Region(region.start_key, region.stop_key, region.node)
     recovered.sstables = list(region.sstables)
     for cell in region.wal.replay():
-        recovered.memtable.add(cell)
+        recovered.memtable.extend([cell])
     return recovered
 
 
@@ -34,23 +34,23 @@ class TestRecovery:
 
     def test_unflushed_writes_survive_crash(self):
         region = self._region()
-        region.apply(_cell("r1", 1, b"hello"))
-        region.apply(_cell("r2", 2, b"world"))
+        region.apply_batch([_cell("r1", 1, b"hello")])
+        region.apply_batch([_cell("r2", 2, b"world")])
         recovered = _recover(region)
         assert recovered.read_row("r1").value("d", "q") == b"hello"
         assert recovered.read_row("r2").value("d", "q") == b"world"
 
     def test_unflushed_deletes_survive_crash(self):
         region = self._region()
-        region.apply(_cell("r1", 1))
+        region.apply_batch([_cell("r1", 1)])
         region.flush()
-        region.apply(_cell("r1", 2, delete=True))
+        region.apply_batch([_cell("r1", 2, delete=True)])
         recovered = _recover(region)
         assert recovered.read_row("r1").empty
 
     def test_flushed_data_independent_of_wal(self):
         region = self._region()
-        region.apply(_cell("r1", 1, b"durable"))
+        region.apply_batch([_cell("r1", 1, b"durable")])
         region.flush()  # truncates the replayed prefix
         assert len(region.wal) == 0
         recovered = _recover(region)
@@ -58,10 +58,10 @@ class TestRecovery:
 
     def test_mixed_flushed_and_unflushed(self):
         region = self._region()
-        region.apply(_cell("r1", 1, b"old"))
+        region.apply_batch([_cell("r1", 1, b"old")])
         region.flush()
-        region.apply(_cell("r1", 2, b"new"))
-        region.apply(_cell("r2", 3, b"fresh"))
+        region.apply_batch([_cell("r1", 2, b"new")])
+        region.apply_batch([_cell("r2", 3, b"fresh")])
         recovered = _recover(region)
         assert recovered.read_row("r1").value("d", "q") == b"new"
         assert recovered.read_row("r2").value("d", "q") == b"fresh"
@@ -70,8 +70,8 @@ class TestRecovery:
         """Replaying the same WAL twice (a retried recovery) must not
         change visibility — timestamps dedupe versions."""
         region = self._region()
-        region.apply(_cell("r1", 1, b"value"))
+        region.apply_batch([_cell("r1", 1, b"value")])
         recovered = _recover(region)
         for cell in region.wal.replay():  # second (duplicate) replay
-            recovered.memtable.add(cell)
+            recovered.memtable.extend([cell])
         assert recovered.read_row("r1").value("d", "q") == b"value"

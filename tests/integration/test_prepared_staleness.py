@@ -165,3 +165,18 @@ def test_worker_engines_sharing_one_catalog_each_replace_their_own(fresh_setup):
             assert again != before
         gc.collect()
         assert replaced() is None, "a worker still holds the replaced statistics"
+
+
+def test_shared_plan_cache_drops_stale_plans_on_store(fresh_setup):
+    """A stale entry of the shared plan cache keeps its plan, and through
+    it the statistics it was priced against.  The next plan stored drops
+    it, although its own key is never looked up again."""
+    with QueryServer(fresh_setup.platform, workers=1) as server:
+        engine = server.engine()
+        engine.plan(q2(10))
+        replaced = weakref.ref(server.statistics.stats_for(q2(10).right))
+        server.statistics.invalidate(q2(10).right.table)
+        engine.plan(q2(30))
+        assert len(server.plan_cache) == 1
+        gc.collect()
+        assert replaced() is None, "a stale cached plan still holds the replaced statistics"

@@ -48,10 +48,10 @@ def _run_schedule(region: Region, ops) -> None:
     for op in ops:
         if op[0] == "put":
             timestamp += 1
-            region.apply(Cell(op[1], op[2], "q", op[3], timestamp))
+            region.apply_batch([Cell(op[1], op[2], "q", op[3], timestamp)])
         elif op[0] == "delete":
             timestamp += 1
-            region.apply(Cell(op[1], op[2], "q", b"", timestamp, is_delete=True))
+            region.apply_batch([Cell(op[1], op[2], "q", b"", timestamp, is_delete=True)])
         elif op[0] == "flush":
             region.flush()
         else:
@@ -63,7 +63,7 @@ def _crash_recover(region: Region) -> Region:
     recovered = _fresh_region()
     recovered.sstables = list(region.sstables)
     for cell in region.wal.replay():
-        recovered.memtable.add(cell)
+        recovered.memtable.extend([cell])
     return recovered
 
 
@@ -93,7 +93,7 @@ def test_double_replay_is_idempotent(ops):
     _run_schedule(region, ops)
     recovered = _crash_recover(region)
     for cell in region.wal.replay():
-        recovered.memtable.add(cell)
+        recovered.memtable.extend([cell])
     assert _visible_state(recovered) == _visible_state(region)
 
 

@@ -27,12 +27,15 @@ TYPED_CORE = [
     "repro.cluster.executor",
     "repro.cluster.metrics",
     "repro.store.cell",
+    "repro.store.memtable",
+    "repro.store.region",
     "repro.store.scanner",
     "repro.core.hrjn",
     "repro.query.spec",
     "repro.query.results",
     "repro.serving.plan_cache",
     "repro.maintenance.worker",
+    "repro.mapreduce.runtime",
 ]
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent

@@ -5,14 +5,9 @@ from hypothesis import strategies as st
 
 from repro.cluster.costmodel import EC2_PROFILE
 from repro.cluster.simulation import SimCluster
-from repro.store.cell import (
-    Cell,
-    RowResult,
-    iter_rows,
-    iter_visible,
-    resolve_versions,
-)
+from repro.store.cell import Cell, RowResult, iter_rows, iter_visible
 from repro.store.region import Region
+from tests.resolver_reference import resolve_versions
 
 
 def cell(row="r", family="d", qualifier="q", value=b"v", ts=1, delete=False):
@@ -182,7 +177,7 @@ class TestStreamingResolver:
         region = Region(None, None, SimCluster(EC2_PROFILE).workers[0],
                         compaction_trigger=3)
         for index, c in enumerate(cells):
-            region.apply(c)
+            region.apply_batch([c])
             if index in flush_after:
                 region.flush()
         reads = [region.read_row(row, families) for row in ROWS]

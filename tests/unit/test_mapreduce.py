@@ -1,5 +1,7 @@
 """The MapReduce engine: phases, combiners, locality, accounting."""
 
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,8 +17,13 @@ from repro.mapreduce.job import (
     TableOutput,
     UnionTableInput,
 )
+from repro.mapreduce.runtime import _Split
 from repro.platform import Platform
-from repro.store.client import Put
+from repro.query.engine import RankJoinEngine
+from repro.store.client import Delete, Put
+from repro.tpch.generator import generate
+from repro.tpch.loader import load_tpch
+from repro.tpch.queries import q1
 from tests.committed import assert_matches_committed
 
 
@@ -325,3 +332,165 @@ def test_a_record_is_sized_once_per_stage(monkeypatch):
     sink_records = len(list(platform.hdfs.read_file("reduced")))
     assert sink_records == len(reduce_keys)
     assert map_pairs <= len(calls) <= map_pairs + len(reduce_keys) + sink_records
+
+
+# -- the split cache ---------------------------------------------------------
+#
+# A table job whose input keeps its splits reuses each region's split (its
+# rows and their sizes) until the region next changes.  After every kind
+# of change a rerun must be the run of a platform that never cached a
+# split over the same data: the same rows, and the same bill.
+
+
+def _cache_platform(workers: int = 4) -> Platform:
+    """Three regions of a two-family table: a flushed tombstone, and some
+    cells still in the memtables."""
+    platform = Platform(ec2_profile_with_nodes(workers))
+    htable = platform.store.create_table("kv", {"a", "b"}, split_keys=["k3", "k6"])
+    htable.put_batch([
+        Put(f"k{i}", timestamp=i + 1)
+        .add("a", "x", f"a{i}".encode())
+        .add("b", "y", f"b{i}".encode())
+        for i in range(9)
+    ])
+    htable.delete(Delete("k8", "b", "y", timestamp=15))
+    htable.flush()
+    htable.put_batch([
+        Put("k1", timestamp=20).add("a", "x", b"newer"),
+        Put("k7", timestamp=21).add("b", "z", b"more"),
+    ])
+    return platform
+
+
+def _dump_map(key, row, task):
+    task.emit(key, [(c.family, c.qualifier, c.value, c.timestamp) for c in row])
+
+
+def _dump_job(keep_splits: bool = True) -> Job:
+    return Job("dump", TableInput.of("kv", keep_splits=keep_splits), _dump_map)
+
+
+def _put_batch(platform):
+    platform.store.table("kv").put_batch([
+        Put("k2", timestamp=30).add("b", "y", b"changed"),
+        Put("k5", timestamp=31).add("a", "w", b"added"),
+    ])
+
+
+def _delete(platform):
+    platform.store.table("kv").delete(Delete("k4", timestamp=40))
+
+
+def _flush(platform):
+    platform.store.table("kv").flush()
+
+
+def _compact(platform):
+    for region in platform.store.backing("kv").regions:
+        region.compact(major=True)
+
+
+def _drop_family(platform):
+    platform.store.backing("kv").drop_family("b")
+
+
+def _dump(platform, keep_splits: bool = True):
+    platform.metrics.reset()
+    collected = platform.runner.run(_dump_job(keep_splits)).collected
+    return collected, platform.metrics.snapshot()
+
+
+def _cached_splits(platform):
+    """Each region's kept split, or ``None`` where it keeps none."""
+    kept = []
+    for region in platform.store.backing("kv").regions:
+        splits = [v for v in region._derived.values() if isinstance(v, _Split)]
+        assert len(splits) <= 1
+        kept.append(splits[0] if splits else None)
+    return kept
+
+
+@pytest.mark.parametrize(
+    "change", [_put_batch, _delete, _flush, _compact, _drop_family],
+    ids=lambda change: change.__name__.strip("_"),
+)
+def test_a_cached_split_never_outlives_a_change(change):
+    cached = _cache_platform()
+    first = _dump(cached)
+    held = _cached_splits(cached)
+    assert None not in held
+    change(cached)
+    assert not all(
+        any(split is other for other in _cached_splits(cached)) for split in held
+    ), "the change left every region's split in place"
+
+    fresh = _cache_platform()
+    change(fresh)
+    expected = _dump(fresh)
+    assert _dump(cached) == expected
+    assert _dump(cached) == expected  # and the rebuilt split is reused
+    # a flush or a compaction moves cells, the others change what is read
+    assert (first == expected) == (change in (_flush, _compact))
+
+
+def test_a_write_rebuilds_only_its_regions_split():
+    platform = _cache_platform()
+
+    def splits():
+        _dump(platform)
+        return _cached_splits(platform)
+
+    before = splits()
+    assert None not in before
+    # an unchanged region hands out the split it kept
+    assert all(a is b for a, b in zip(splits(), before))
+    platform.store.table("kv").put(Put("k0", timestamp=50).add("a", "x", b"v"))
+    after = splits()
+    assert after[0] is not None
+    assert [a is b for a, b in zip(after, before)] == [False, True, True]
+
+
+def test_a_job_that_keeps_no_splits_leaves_none_behind():
+    """An index build's scan runs once: it neither keeps its splits nor
+    reads the ones a query kept, and bills what a keeping job bills."""
+    platform = _cache_platform()
+    one_shot = _dump(platform, keep_splits=False)
+    assert _cached_splits(platform) == [None, None, None]
+    assert _dump(platform) == one_shot
+    kept = _cached_splits(platform)
+    assert _dump(platform, keep_splits=False) == one_shot
+    assert all(a is b for a, b in zip(_cached_splits(platform), kept))
+
+
+@pytest.mark.parametrize("release", [
+    lambda platform: platform.store.table("kv").put(
+        Put("k0", timestamp=50).add("a", "x", b"v")
+    ),
+    lambda platform: platform.store.drop_table("kv"),
+], ids=["write", "drop_table"])
+def test_a_cached_split_is_freed_by_the_next_change(release):
+    """A stale split is not kept until the next job asks for it: the
+    write that ends its region's contents, or the drop of its table,
+    frees it."""
+    platform = _cache_platform()
+    _dump(platform)
+    held = weakref.ref(_cached_splits(platform)[0])
+    release(platform)
+    gc.collect()
+    assert held() is None
+
+
+@pytest.mark.parametrize("algorithm", ["ijlmr", "drjn", "pig", "hive"])
+def test_a_rerun_over_cached_splits_repeats_the_first(algorithm):
+    """No map function changes a cached record: the second run of a query
+    returns the first run's tuples, and bills what it billed."""
+    platform = Platform(EC2_PROFILE)
+    load_tpch(platform.store, generate(micro_scale=0.05, seed=7))
+    engine = RankJoinEngine(platform)
+    engine.algorithm(algorithm).prepare(q1(5))
+    runs = []
+    for _ in range(2):
+        platform.metrics.reset()
+        result = engine.execute(q1(5), algorithm=algorithm)
+        runs.append((result.tuples, result.metrics, platform.metrics.snapshot()))
+    assert runs[0] == runs[1]

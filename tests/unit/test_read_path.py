@@ -1,15 +1,18 @@
 """Streaming read path: lazy merge scans, early termination, and
 tombstone/version semantics under the streaming resolver."""
 
+import random
+
 import pytest
 
 from repro.cluster.costmodel import EC2_PROFILE
 from repro.cluster.simulation import SimCluster
-from repro.store.cell import Cell
+from repro.store.cell import Cell, RowResult
 from repro.store.client import Delete, Get, Put, Scan
 from repro.store.memtable import MemTable
 from repro.store.region import Region
 from repro.store.sstable import SSTable
+from tests.resolver_reference import resolve_versions
 
 
 @pytest.fixture()
@@ -63,12 +66,12 @@ class TestLazyMerge:
 
     def test_scan_merges_memtable_and_sstables_in_key_order(self, node):
         region = Region(None, None, node)
-        region.apply(Cell("rB", "d", "q", b"1", 1))
+        region.apply_batch([Cell("rB", "d", "q", b"1", 1)])
         region.flush()
-        region.apply(Cell("rD", "d", "q", b"2", 2))
+        region.apply_batch([Cell("rD", "d", "q", b"2", 2)])
         region.flush()
-        region.apply(Cell("rA", "d", "q", b"3", 3))  # stays in the memtable
-        region.apply(Cell("rC", "d", "q", b"4", 4))
+        region.apply_batch([Cell("rA", "d", "q", b"3", 3)])  # stays in the memtable
+        region.apply_batch([Cell("rC", "d", "q", b"4", 4)])
         assert [r.row for r in region.scan_rows()] == ["rA", "rB", "rC", "rD"]
 
     def test_open_scan_is_stable_under_concurrent_writes(self, node):
@@ -77,20 +80,20 @@ class TestLazyMerge:
         duplicate rows under the live iterator."""
         region = Region(None, None, node)
         for i in range(10):
-            region.apply(Cell(f"r{i:02d}", "d", "q", b"x", i + 1))
+            region.apply_batch([Cell(f"r{i:02d}", "d", "q", b"x", i + 1)])
         scan = region.scan_rows()
         seen = [next(scan).row for _ in range(3)]
-        region.apply(Cell("r00", "d", "q", b"new", 100))  # out of order
+        region.apply_batch([Cell("r00", "d", "q", b"new", 100)])  # out of order
         list(region.memtable.cells())  # triggers the re-sort
         seen += [r.row for r in scan]
         assert seen == [f"r{i:02d}" for i in range(10)]
 
     def test_memtable_point_get_index(self):
         memtable = MemTable()
-        memtable.add(Cell("b", "d", "q", b"1", 1))
-        memtable.add(Cell("a", "d", "q", b"2", 2))
+        memtable.extend([Cell("b", "d", "q", b"1", 1)])
+        memtable.extend([Cell("a", "d", "q", b"2", 2)])
         list(memtable.cells())  # force the lazy sort
-        memtable.add(Cell("b", "d", "q2", b"3", 3))
+        memtable.extend([Cell("b", "d", "q2", b"3", 3)])
         assert len(memtable.cells_for_row("b")) == 2
         assert memtable.cells_for_row("missing") == []
         assert [c.row for c in memtable.iter_range("b", None)] == ["b", "b"]
@@ -109,15 +112,15 @@ class TestStreamingResolver:
     def test_versions_split_across_memtable_and_two_sstables(self, node):
         """The newest version wins no matter which source holds it."""
         region = Region(None, None, node)
-        region.apply(Cell("r1", "d", "q", b"v1", 1))
-        region.apply(Cell("r2", "d", "q", b"w3", 3))
+        region.apply_batch([Cell("r1", "d", "q", b"v1", 1)])
+        region.apply_batch([Cell("r2", "d", "q", b"w3", 3)])
         region.flush()
-        region.apply(Cell("r1", "d", "q", b"v2", 2))
-        region.apply(Cell("r2", "d", "q", b"w1", 1))
+        region.apply_batch([Cell("r1", "d", "q", b"v2", 2)])
+        region.apply_batch([Cell("r2", "d", "q", b"w1", 1)])
         region.flush()
         assert len(region.sstables) == 2
-        region.apply(Cell("r1", "d", "q", b"v3", 3))  # newest, in the memtable
-        region.apply(Cell("r2", "d", "q", b"w2", 2))
+        region.apply_batch([Cell("r1", "d", "q", b"v3", 3)])  # newest, in the memtable
+        region.apply_batch([Cell("r2", "d", "q", b"w2", 2)])
 
         rows = list(region.scan_rows())
         assert [(r.row, r.value("d", "q")) for r in rows] == [
@@ -129,11 +132,71 @@ class TestStreamingResolver:
 
     def test_tombstone_in_memtable_masks_sstable_versions(self, node):
         region = Region(None, None, node)
-        region.apply(Cell("r1", "d", "q", b"old", 1))
+        region.apply_batch([Cell("r1", "d", "q", b"old", 1)])
         region.flush()
-        region.apply(Cell("r1", "d", "q", b"", 2, True))
+        region.apply_batch([Cell("r1", "d", "q", b"", 2, True)])
         assert list(region.scan_rows()) == []
         assert region.read_row("r1").empty
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_point_get_matches_the_reference_resolver(self, node, seed):
+        """``read_row`` over one segment's cells or any mix of sources must
+        equal ``resolve_versions`` over the row's raw cells (memtable
+        first), tombstones, timestamp ties and family filters included."""
+        rng = random.Random(seed)
+        region = Region(None, None, node, compaction_trigger=100)
+        rows = [f"r{i}" for i in range(8)]
+        for index in range(1, 120):
+            row = rng.choice(rows)
+            family = rng.choice("ab")
+            qualifier = rng.choice("xy")
+            timestamp = rng.randint(1, 40)  # ties across sources, too
+            if rng.random() < 0.25:
+                cell = Cell(row, family, qualifier, b"", timestamp, True)
+            else:
+                cell = Cell(row, family, qualifier, b"v%d" % index, timestamp)
+            region.apply_batch([cell])
+            if rng.random() < 0.08:
+                region.flush()
+
+        def check():
+            sources = [region.memtable.cells_for_row, *(
+                sstable.cells_for_row for sstable in region.sstables
+            )]
+            for row in rows:
+                raw = [cell for cells_of in sources for cell in cells_of(row)]
+                for families in (None, {"a"}, {"b"}, {"a", "b"}, {"c"}):
+                    wanted = [
+                        cell for cell in raw
+                        if families is None or cell.family in families
+                    ]
+                    assert region.read_row(row, families) == RowResult(
+                        row, resolve_versions(wanted)
+                    )
+
+        assert not region.memtable.empty and len(region.sstables) > 1
+        check()  # rows spread over the memtable and several segments
+        region.flush()
+        region.compact(major=False)
+        check()  # every row's raw cells, tombstones kept, in one segment
+
+    def test_point_get_streams_a_single_segment_row(self, node):
+        region = Region(None, None, node)
+        region.apply_batch([
+            Cell("r1", "a", "x", b"old", 1),
+            Cell("r1", "a", "x", b"", 2, True),
+            Cell("r1", "a", "y", b"kept", 1),
+            Cell("r1", "b", "x", b"other", 3),
+            Cell("r2", "a", "x", b"gone", 1),
+            Cell("r2", "a", "x", b"", 1, True),
+        ])
+        region.flush()
+        assert region.read_row("r1") == RowResult(
+            "r1", [Cell("r1", "a", "y", b"kept", 1), Cell("r1", "b", "x", b"other", 3)]
+        )
+        assert region.read_row("r1", {"b"}).cells == [Cell("r1", "b", "x", b"other", 3)]
+        assert region.read_row("r2") == RowResult("r2", [])
+        assert region.read_row("missing") == RowResult("missing", [])
 
     def test_limited_scan_over_tombstoned_rows(self, empty_platform):
         """limit counts *visible* rows; fully-deleted rows are skipped and

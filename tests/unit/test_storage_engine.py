@@ -19,18 +19,18 @@ class TestMemTable:
     def test_add_and_iterate_sorted(self):
         memtable = MemTable()
         for added in (cell("b"), cell("a")):
-            memtable.add(added)
+            memtable.extend([added])
         assert [c.row for c in memtable.cells()] == ["a", "b"]
 
     def test_cells_for_row(self):
         memtable = MemTable()
         for added in (cell("a"), cell("b"), cell("a", ts=2)):
-            memtable.add(added)
+            memtable.extend([added])
         assert len(memtable.cells_for_row("a")) == 2
 
     def test_drain_clears(self):
         memtable = MemTable()
-        memtable.add(cell("x"))
+        memtable.extend([cell("x")])
         drained = memtable.drain()
         assert len(drained) == 1
         assert memtable.empty
@@ -38,8 +38,46 @@ class TestMemTable:
 
     def test_byte_size_tracks_content(self):
         memtable = MemTable()
-        memtable.add(cell("row", value=b"12345"))
+        memtable.extend([cell("row", value=b"12345")])
         assert memtable.byte_size == cell("row", value=b"12345").serialized_size()
+
+
+    def test_order_survives_re_sorts_drains_and_family_drops(self):
+        """The cached tail key that keeps an append to one sort key is
+        re-derived whenever the list is rebound: appends after a re-sort,
+        a drain or a family drop still leave the buffer in KeyValue order."""
+        memtable = MemTable()
+        added = []
+
+        def add(row, family="d", ts=1):
+            new = Cell(row, family, "q", b"v", ts)
+            added.append(new)
+            memtable.extend([new])
+
+        def check():
+            assert list(memtable.iter_range(None, None)) == sorted(
+                added, key=Cell.sort_key
+            )
+
+        for row in ("c", "a", "z"):  # out of order, then re-sorted
+            add(row)
+        check()
+        add("d")  # below the re-sorted tail "z"
+        add("zz")
+        check()
+        add("zz", family="e")  # in order: the tail is now family "e"
+        memtable.drop_family("e")
+        added = [cell for cell in added if cell.family != "e"]
+        add("n")  # below the surviving tail "zz"
+        check()
+        memtable.drain()
+        added = []
+        add("b")
+        add("a")
+        check()
+        memtable.extend([Cell("c", "d", "q", b"v", 1), Cell("a", "d", "q", b"v", 2)])
+        added += [Cell("c", "d", "q", b"v", 1), Cell("a", "d", "q", b"v", 2)]
+        check()
 
 
 class TestSSTable:
@@ -87,23 +125,24 @@ class TestCompaction:
 class TestWAL:
     def test_append_and_replay(self):
         wal = WriteAheadLog()
-        wal.append(cell("a"))
-        wal.append(cell("b"))
+        wal.extend([cell("a")])
+        wal.extend([cell("b")])
         assert [c.row for c in wal.replay()] == ["a", "b"]
 
     def test_truncate_after_flush(self):
         wal = WriteAheadLog()
-        wal.append(cell("a"))
+        wal.extend([cell("a")])
         wal.mark_flushed()
-        wal.append(cell("b"))
+        wal.extend([cell("b")])
         reclaimed = wal.truncate_flushed()
         assert reclaimed > 0
         assert [c.row for c in wal.replay()] == ["b"]
 
     def test_byte_accounting(self):
         wal = WriteAheadLog()
-        size = wal.append(cell("a", value=b"123"))
-        assert wal.byte_size == size
+        logged = cell("a", value=b"123")
+        wal.extend([logged])
+        assert wal.byte_size == logged.serialized_size()
         wal.mark_flushed()
         wal.truncate_flushed()
         assert wal.byte_size == 0

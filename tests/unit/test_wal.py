@@ -115,7 +115,7 @@ class TestWriteAheadLogAccounting:
         ]
         for op, arg in script:
             if op == "append":
-                wal.append(arg)
+                wal.extend([arg])
             elif op == "flush":
                 wal.mark_flushed()
             elif op == "truncate":
@@ -126,9 +126,9 @@ class TestWriteAheadLogAccounting:
 
     def test_drop_family_removes_only_that_family(self):
         wal = WriteAheadLog()
-        wal.append(_cell("r1", 1, "d"))
-        wal.append(_cell("r2", 2, "x"))
-        wal.append(_cell("r3", 3, "d"))
+        wal.extend([_cell("r1", 1, "d")])
+        wal.extend([_cell("r2", 2, "x")])
+        wal.extend([_cell("r3", 3, "d")])
         wal.drop_family("x")
         assert [c.row for c in wal.replay()] == ["r1", "r3"]
         assert wal.byte_size == self._exact_size(wal)
@@ -137,10 +137,10 @@ class TestWriteAheadLogAccounting:
         """Dropping a family must not let truncate_flushed discard cells
         that were logged after the last flush."""
         wal = WriteAheadLog()
-        wal.append(_cell("r1", 1, "d"))
-        wal.append(_cell("r2", 2, "x"))
+        wal.extend([_cell("r1", 1, "d")])
+        wal.extend([_cell("r2", 2, "x")])
         wal.mark_flushed()
-        wal.append(_cell("r3", 3, "d"))
+        wal.extend([_cell("r3", 3, "d")])
         wal.drop_family("x")
         wal.truncate_flushed()
         assert [c.row for c in wal.replay()] == ["r3"]
@@ -148,11 +148,11 @@ class TestWriteAheadLogAccounting:
 
     def test_mark_flushed_advances_checkpoint(self):
         wal = WriteAheadLog()
-        wal.append(_cell("r1", 1))
-        wal.append(_cell("r2", 2))
+        wal.extend([_cell("r1", 1)])
+        wal.extend([_cell("r2", 2)])
         wal.mark_flushed()
         assert wal.checkpoint_sequence == 2
         wal.truncate_flushed()
-        wal.append(_cell("r3", 3))
+        wal.extend([_cell("r3", 3)])
         assert wal.last_sequence == 3
         assert [r.sequence for r in wal.entries_after(wal.checkpoint_sequence)] == [3]
