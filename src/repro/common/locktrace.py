@@ -35,7 +35,6 @@ stress and chaos suites enforce it.
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 from typing import Any, Callable, Iterable
@@ -46,42 +45,6 @@ _REAL_CONDITION = threading.Condition
 
 #: path fragment that marks a creation site as "ours" (worth tracing)
 _TRACED_FRAGMENT = "repro"
-
-#: the tracer currently patching the ``threading`` factories (at most one)
-_INSTALLED: "LockTracer | None" = None
-_AT_FORK_REGISTERED = False
-
-
-def _uninstall_in_forked_child() -> None:
-    """Drop inherited tracer state after ``fork()``.
-
-    A forked child inherits the patched factories and the tracer object,
-    but none of the parent's threads — a thread that died mid-update may
-    have left ``_graph_lock`` held forever, and every recorded edge
-    belongs to the parent's run.  Restore the real factories and reset
-    the tracer to a fresh, unlocked state so the child can never block on
-    (or report from) a tracer it does not own.
-    """
-    global _INSTALLED
-    tracer = _INSTALLED
-    if tracer is None:
-        return
-    threading.Lock = _REAL_LOCK  # type: ignore[misc]
-    threading.RLock = _REAL_RLOCK  # type: ignore[misc]
-    threading.Condition = _REAL_CONDITION  # type: ignore[misc]
-    tracer._installed = False
-    tracer._graph_lock = _REAL_LOCK()
-    tracer._edges = {}
-    tracer._held = threading.local()
-    _INSTALLED = None
-
-
-def _ensure_at_fork_hook() -> None:
-    global _AT_FORK_REGISTERED
-    if _AT_FORK_REGISTERED or not hasattr(os, "register_at_fork"):
-        return  # pragma: no cover - platforms without fork
-    os.register_at_fork(after_in_child=_uninstall_in_forked_child)
-    _AT_FORK_REGISTERED = True
 
 
 def _creation_site(skip: int = 2) -> "tuple[str, int]":
@@ -187,28 +150,22 @@ class LockTracer:
 
     def install(self) -> "LockTracer":
         """Patch the ``threading`` lock factories; returns self."""
-        global _INSTALLED
         if self._installed:
             return self
-        _ensure_at_fork_hook()
         threading.Lock = self._factory(_REAL_LOCK)  # type: ignore[misc]
         threading.RLock = self._factory(_REAL_RLOCK)  # type: ignore[misc]
         threading.Condition = self._factory(_REAL_CONDITION)  # type: ignore[misc,assignment]
         self._installed = True
-        _INSTALLED = self
         return self
 
     def uninstall(self) -> None:
         """Restore the real ``threading`` lock factories."""
-        global _INSTALLED
         if not self._installed:
             return
         threading.Lock = _REAL_LOCK  # type: ignore[misc]
         threading.RLock = _REAL_RLOCK  # type: ignore[misc]
         threading.Condition = _REAL_CONDITION  # type: ignore[misc]
         self._installed = False
-        if _INSTALLED is self:
-            _INSTALLED = None
 
     def __enter__(self) -> "LockTracer":
         return self.install()

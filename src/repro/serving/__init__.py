@@ -1,29 +1,19 @@
-"""Concurrent query serving: plan cache, admission control, scheduling.
+"""Query serving: plan cache, admission control, one serving thread.
 
 The serving layer turns the single-caller :class:`~repro.query.engine.RankJoinEngine`
-into a multi-client deployment: :class:`QueryServer` admits many
-concurrent queries, shares one plan cache and statistics catalog across
-its worker threads, and keeps simulated per-query costs bit-identical to
-solo execution (see :mod:`repro.serving.server` for the scheduling
-rules).
+into a multi-client deployment: :class:`QueryServer` admits queries from
+many client threads, shares one plan cache and statistics catalog across
+them, and runs every admitted query in FIFO order on one executor thread
+so its simulated cost stays bit-identical to solo execution (see
+:mod:`repro.serving.server`).
 """
 
-from repro.serving.metrics import ThreadLocalMetricsRouter, install_router
 from repro.serving.plan_cache import CachedPlan, PlanCache
-from repro.serving.server import (
-    EXCLUSIVE_MULTIWAY,
-    EXCLUSIVE_TWO_WAY,
-    QueryServer,
-    ServedQuery,
-)
+from repro.serving.server import QueryServer, ServedQuery
 
 __all__ = [
     "CachedPlan",
-    "EXCLUSIVE_MULTIWAY",
-    "EXCLUSIVE_TWO_WAY",
     "PlanCache",
     "QueryServer",
     "ServedQuery",
-    "ThreadLocalMetricsRouter",
-    "install_router",
 ]

@@ -1,38 +1,35 @@
-"""Concurrent query serving: admission control, scheduling, shared caches.
+"""Query serving: admission control, one serving thread, shared caches.
 
 The paper's deployment story (§1, §7) is a shared HBase/Hadoop cluster
-answering many clients' rank-join queries at once.  :class:`QueryServer`
-reproduces that shape over the simulated platform:
+answering many clients' rank-join queries, each priced as if it ran
+alone.  :class:`QueryServer` reproduces that shape over the simulated
+platform:
 
-* **admission control** — a bounded in-flight counter sheds queries with
-  :class:`~repro.errors.ServerOverloadedError` once ``max_pending`` is
-  reached, and per-query deadlines/budgets reject work that waited too
-  long or is priced above a cost ceiling *before* it touches the cluster;
-* **shared planning state** — all worker threads price queries against one
+* **admission control** — on the caller's thread: a bounded in-flight
+  counter sheds queries with :class:`~repro.errors.ServerOverloadedError`
+  once ``max_pending`` is reached, the staleness policy sheds or pushes
+  back, and a budget rejects a query priced above its ceiling *before* it
+  touches the cluster;
+* **shared planning state** — callers price queries against one
   :class:`~repro.query.statistics.StatisticsCatalog` and reuse plans from
   one :class:`~repro.serving.plan_cache.PlanCache`, keyed by canonical
   query shape and invalidated by the statistics version counters that
   online maintenance already bumps;
-* **deterministic metering** — each served query runs under a fresh
-  per-thread :class:`~repro.serving.metrics.ThreadLocalMetricsRouter`
-  scope, so its simulated cost is byte-identical to the same query
-  executed alone (concurrency must not change the paper's Fig. 7/8
-  numbers);
-* **read/write scheduling** — algorithms whose execution only *reads* the
-  store (ISL, BFHM with offline write-back, the index-free n-way HRJN
-  pipeline) run concurrently on a pool of ``workers`` threads, while
-  algorithms that mutate shared simulator state (MapReduce jobs writing
-  HDFS blocks or temp tables: Hive, Pig, IJLMR, DRJN, the BFHM cascade)
-  and any query that must first *build* an index are serialized FIFO on a
-  dedicated writer thread behind a write-preferring read/write lock.  The
-  FIFO order matters: MapReduce jobs consume the cluster's round-robin
-  placement cursor, so exclusive queries must replay in submission order
-  to stay bit-identical with a serialized run.
+* **one serving thread** — every admitted query runs on a single FIFO
+  executor thread, under the server's mutex, with a fresh
+  :class:`~repro.cluster.metrics.MetricsCollector` swapped onto the
+  platform for the run.  Queries therefore execute one at a time in
+  submission order, and each one's simulated cost is byte-identical to
+  the same query executed alone (serving must not change the paper's
+  Fig. 7/8 numbers).  :meth:`QueryServer.maintenance`,
+  :meth:`QueryServer.prepare` and :meth:`QueryServer.explain` take the
+  same mutex, so none of them overlaps a running query.
 
-Python's GIL means the thread pool buys no simulated-CPU parallelism; the
-throughput win comes from amortizing parsing and planning across queries
-(the statement cache and plan cache) and from overlapping coordinator
-bookkeeping — exactly the caching a real deployment would do.
+Python's GIL gives more executor threads no parallelism: measured capacity
+was no better with two or four workers than with one (docs/ARCHITECTURE.md,
+"Serving thread").  The throughput win comes from amortizing parsing and
+planning across queries (the statement cache and plan cache) — exactly
+the caching a real deployment would do.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from concurrent.futures import wait as _wait_futures
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.core.base import RankJoinAlgorithm
+from repro.cluster.metrics import MetricsCollector
 from repro.core.bfhm.updates import WriteBackPolicy
 from repro.errors import (
     BudgetExceededError,
@@ -62,17 +59,8 @@ from repro.query.parser import parse_rank_join
 from repro.query.planner import OBJECTIVES, QueryPlan
 from repro.query.spec import RankJoinQuery
 from repro.query.statistics import StatisticsCatalog
-from repro.serving.metrics import install_router
 from repro.serving.plan_cache import PlanCache
 
-#: two-way algorithms whose query phase runs MapReduce jobs (HDFS block
-#: placement, temp tables) and therefore mutates shared simulator state
-EXCLUSIVE_TWO_WAY = frozenset({"hive", "pig", "ijlmr", "drjn"})
-
-#: arity >= 3 strategies that build temporary intermediate indexes
-EXCLUSIVE_MULTIWAY = frozenset({"bfhm"})
-
-DEFAULT_WORKERS = 4
 DEFAULT_MAX_PENDING = 64
 DEFAULT_STATEMENT_CACHE = 256
 
@@ -93,85 +81,19 @@ def _percentile(sorted_values: "list[float]", fraction: float) -> float:
     return sorted_values[index]
 
 
-class _ReadWriteLock:
-    """Write-preferring readers/writer lock.
-
-    Queries that only read the store share the lock; maintenance and
-    exclusive (MapReduce / index-building) queries take it exclusively.
-    New readers queue behind a waiting writer so a steady query stream
-    cannot starve maintenance.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0  # guarded-by: _cond
-        self._writer_active = False  # guarded-by: _cond
-        self._writers_waiting = 0  # guarded-by: _cond
-
-    def acquire_read(self) -> None:
-        """Block until no writer is active or waiting, then join readers."""
-        with self._cond:
-            while self._writer_active or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-
-    def release_read(self) -> None:
-        """Leave the reader group, waking writers when it empties."""
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    def acquire_write(self) -> None:
-        """Block until the lock is free of readers and writers, then own it."""
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer_active or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer_active = True
-
-    def release_write(self) -> None:
-        """Release exclusive ownership and wake everyone waiting."""
-        with self._cond:
-            self._writer_active = False
-            self._cond.notify_all()
-
-    @contextmanager
-    def read(self):
-        """``with lock.read():`` — shared (query) critical section."""
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
-
-    @contextmanager
-    def write(self):
-        """``with lock.write():`` — exclusive (maintenance) section."""
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
-
-
 @dataclass
 class ServedQuery:
     """Outcome of one query admitted by :class:`QueryServer`.
 
     Carries the executed result (or the error that stopped it) together
-    with serving-side accounting: queue wait, total latency, whether the
-    query ran on the exclusive writer thread, and the plan that routed it.
+    with serving-side accounting: queue wait, total latency, and the plan
+    that chose its algorithm.
     """
 
     index: int
     sql: "str | None"
     query: RankJoinQuery
     algorithm: str
-    exclusive: bool
     plan: "QueryPlan | None" = None
     result: object = None
     error: "Exception | None" = None
@@ -203,37 +125,41 @@ class _Counters:
     backpressure_shed: int = 0
     drains_triggered: int = 0
     maintenance_failures: int = 0
-    reader_served: int = 0
-    exclusive_served: int = 0
     statement_hits: int = 0
     statement_misses: int = 0
     latencies: "list[float]" = field(default_factory=list)
 
 
 class QueryServer:
-    """Concurrent rank-join query serving over one shared platform.
+    """Rank-join query serving for many clients over one shared platform.
 
     Usage::
 
-        server = QueryServer(platform, workers=4)
+        server = QueryServer(platform)
         served = server.execute("SELECT * FROM R, S WHERE R.a = S.a "
                                 "ORDER BY R.s + S.s STOP AFTER 10")
         print(served.result.tuples, served.metrics.sim_time_s)
         server.close()
 
-    Every worker thread owns a private :class:`RankJoinEngine` (algorithm
-    instances are not thread-safe) but all engines share this server's
+    Callers parse, plan and pass admission on their own threads; one
+    executor thread then runs the admitted queries in FIFO order, each
+    under the server's mutex and metered on a fresh collector.  Every
+    thread owns a private :class:`RankJoinEngine` (algorithm instances are
+    not thread-safe) but all engines share this server's
     :class:`StatisticsCatalog` and :class:`PlanCache`, so planning work is
     done once per query shape per statistics version.  BFHM engines are
     configured with :class:`WriteBackPolicy.OFFLINE` so their query phase
-    never writes repaired blobs back — the serving invariant is that
-    reader-pool queries are store-read-only.
+    never writes repaired blobs back into the shared index.
+
+    ``workers`` is accepted (and must be at least 1) for callers that
+    still pass it; it changes nothing, since more executor threads bought
+    no capacity under the GIL.
     """
 
     def __init__(
         self,
         platform: Platform,
-        workers: int = DEFAULT_WORKERS,
+        workers: int = 1,
         max_pending: int = DEFAULT_MAX_PENDING,
         plan_cache_capacity: "int | None" = None,
         statement_cache_capacity: int = DEFAULT_STATEMENT_CACHE,
@@ -241,16 +167,14 @@ class QueryServer:
         family: str = "d",
         **engine_kwargs,
     ) -> None:
+        if int(workers) < 1:
+            raise ValueError(f"workers must be at least 1, got {workers!r}")
         self.platform = platform
-        self.workers = max(1, int(workers))
         self.max_pending = max(1, int(max_pending))
         self.default_deadline_s = default_deadline_s
         self.family = family
 
-        #: per-query metrics isolation: every served query runs in a fresh
-        #: scoped collector so its cost snapshot matches solo execution
-        self.router = install_router(platform.ctx)
-        #: shared across all worker engines; versions drive cache validity
+        #: shared across all engines; versions drive cache validity
         self.statistics = StatisticsCatalog(platform)
         if plan_cache_capacity is None:
             self.plan_cache = PlanCache(self.statistics)
@@ -266,16 +190,15 @@ class QueryServer:
         self._engine_kwargs = merged
 
         self._tls = threading.local()
-        self._rwlock = _ReadWriteLock()
-        self._reader_pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="serve-read"
+        # one FIFO thread runs every query in submission order, so shared
+        # simulator state (the HDFS placement cursor, timestamps) evolves
+        # exactly as in a serialized run
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="serve"
         )
-        # MapReduce queries consume the cluster's round-robin placement
-        # cursor; one FIFO thread keeps their order identical to a
-        # serialized run (bit-identical simulated costs)
-        self._exclusive_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-excl"
-        )
+        #: the mutex: held by a running query, maintenance(), prepare()
+        #: and explain(), so none of them overlaps another
+        self._mutex = threading.Lock()
 
         self._lock = threading.Lock()
         self._closed = False  # guarded-by: _lock
@@ -354,7 +277,7 @@ class QueryServer:
 
     def _drain_for_query(self, query: RankJoinQuery, drain_target: int) -> None:
         """Drain the pipeline far enough for this query's policy, under
-        the exclusive (maintenance) lock."""
+        the mutex (as a :meth:`maintenance` block)."""
         pipeline = self._pipeline
         if pipeline is None:
             return
@@ -423,7 +346,7 @@ class QueryServer:
             return text_or_query, self._parse(text_or_query)
         return None, text_or_query
 
-    # -- routing -------------------------------------------------------------
+    # -- planning ------------------------------------------------------------
 
     @staticmethod
     def _estimate_for(plan: QueryPlan, name: str, multiway: bool):
@@ -477,34 +400,6 @@ class QueryServer:
                 raise BudgetExceededError(predicted, float(budget), objective)
         return name, plan
 
-    @staticmethod
-    def _needs_index_build(
-        instance: RankJoinAlgorithm, query: RankJoinQuery
-    ) -> bool:
-        """True when executing would first build an index (a write)."""
-        if type(instance)._build_index is RankJoinAlgorithm._build_index:
-            return False  # index-free strategy (e.g. the n-way HRJN pipeline)
-        try:
-            return any(not instance._index_exists(binding) for binding in query.inputs)
-        except Exception:
-            return True  # cannot prove the indexes exist: serialize it
-
-    def _is_exclusive(
-        self, engine: RankJoinEngine, query: RankJoinQuery, name: str
-    ) -> bool:
-        """Route MapReduce-running or index-building queries to the writer."""
-        key = name.lower()
-        if query.arity > 2:
-            key = MULTIWAY_ALIASES.get(key, key)
-            if key in EXCLUSIVE_MULTIWAY:
-                return True
-            instance = engine.multiway_algorithm(key)
-        else:
-            if key in EXCLUSIVE_TWO_WAY:
-                return True
-            instance = engine.algorithm(key)
-        return self._needs_index_build(instance, query)
-
     # -- submission ----------------------------------------------------------
 
     def submit(
@@ -540,18 +435,15 @@ class QueryServer:
             name, plan = self._choose(
                 engine, query, algorithm, objective, budget
             )
-            exclusive = self._is_exclusive(engine, query, name)
             if deadline_s is None:
                 deadline_s = self.default_deadline_s
-            pool = self._exclusive_pool if exclusive else self._reader_pool
-            future = pool.submit(
+            future = self._executor.submit(
                 self._serve,
                 index,
                 sql,
                 query,
                 name,
                 plan,
-                exclusive,
                 deadline_s,
                 time.monotonic(),
                 drain_target,
@@ -579,7 +471,6 @@ class QueryServer:
         query: RankJoinQuery,
         name: str,
         plan: "QueryPlan | None",
-        exclusive: bool,
         deadline_s: "float | None",
         submitted_at: float,
         drain_target: int = 0,
@@ -590,36 +481,40 @@ class QueryServer:
             sql=sql,
             query=query,
             algorithm=name,
-            exclusive=exclusive,
             plan=plan,
             waited_s=waited,
         )
         try:
             self._check_deadline(waited, deadline_s)
-            # bounded-staleness drains happen before the query's own lock
-            # acquisition: the wait/bounded policies catch the indexes up
-            # (exclusively) and the drain time counts as queue wait below
+            # bounded-staleness drains take the mutex before the query
+            # does: the wait/bounded policies catch the indexes up and the
+            # drain time counts as queue wait below
             self._drain_for_query(query, drain_target)
-            guard = self._rwlock.write if exclusive else self._rwlock.read
-            with guard():
-                # the read/write lock wait is queue time too: a query that
-                # sat out a long maintenance window can still miss its
-                # deadline even though a pool thread picked it up at once
+            engine = self.engine()
+            with self._mutex:
+                # the mutex wait is queue time too: a query that sat out a
+                # long maintenance window can still miss its deadline even
+                # though the executor picked it up at once
                 waited = time.monotonic() - submitted_at
                 served.waited_s = waited
                 self._check_deadline(waited, deadline_s)
-                engine = self.engine()
-                with self.router.scoped():
+                # planning is unmetered, so while the query runs every
+                # charge is its own; a fresh collector (not a delta of the
+                # shared one) also keeps max-tracked counters per query
+                ctx = self.platform.ctx
+                shared = ctx.metrics
+                ctx.metrics = MetricsCollector(
+                    dollars_per_kv_read=shared.dollars_per_kv_read
+                )
+                try:
                     started = time.perf_counter()
                     served.result = engine.execute(query, algorithm=name)
                     elapsed = time.perf_counter() - started
+                finally:
+                    ctx.metrics = shared
             served.latency_s = waited + elapsed
             with self._lock:
                 self._counters.latencies.append(served.latency_s)
-                if exclusive:
-                    self._counters.exclusive_served += 1
-                else:
-                    self._counters.reader_served += 1
         except Exception as error:
             served.error = error
             with self._lock:
@@ -684,16 +579,16 @@ class QueryServer:
     def explain(self, text_or_query, objective: str = "time") -> QueryPlan:
         """Plan a query (through the shared plan cache) without running it."""
         _, query = self._resolve(text_or_query)
-        with self._rwlock.read():
+        with self._mutex:
             return self.engine().planner.plan(query, objective=objective)
 
     def prepare(self, text_or_query, algorithms: "list[str] | None" = None):
-        """Pre-build indexes for a query shape (exclusive); returns the
-        build reports.  Warming indexes before serving keeps the reader
-        pool free of index-build serialization."""
+        """Pre-build indexes for a query shape under the mutex; returns
+        the build reports.  Warming indexes before serving keeps index
+        builds out of the first queries' latency."""
         _, query = self._resolve(text_or_query)
         engine = self.engine()
-        with self._rwlock.write():
+        with self._mutex:
             return engine.prepare(query, algorithms=algorithms)
 
     # -- maintenance ---------------------------------------------------------
@@ -705,28 +600,25 @@ class QueryServer:
             with server.maintenance("R") as platform:
                 relation.insert_batch(rows)
 
-        Queries drain first (write-preferring lock), none run during the
-        block, and the named tables' statistics versions are bumped on
-        exit — invalidating every cached plan that priced them.
+        The block holds the mutex: it waits for the running query, none
+        runs during it, and the named tables' statistics versions are
+        bumped on exit — invalidating every cached plan that priced them.
 
         A :class:`~repro.maintenance.consistency.MutationFailedError`
         escaping the block is counted (``stats()["maintenance_failures"]``)
         before re-raising, so operators see stuck maintenance instead of
         silent index lag.
         """
-        self._rwlock.acquire_write()
-        try:
-            yield self.platform
-        except MutationFailedError:
-            with self._lock:
-                self._counters.maintenance_failures += 1
-            raise
-        finally:
+        with self._mutex:
             try:
+                yield self.platform
+            except MutationFailedError:
+                with self._lock:
+                    self._counters.maintenance_failures += 1
+                raise
+            finally:
                 for table in tables:
                     self.statistics.invalidate(table)
-            finally:
-                self._rwlock.release_write()
 
     # -- introspection -------------------------------------------------------
 
@@ -756,8 +648,6 @@ class QueryServer:
                 "backpressure_shed": counters.backpressure_shed,
                 "drains_triggered": counters.drains_triggered,
                 "maintenance_failures": counters.maintenance_failures,
-                "reader_served": counters.reader_served,
-                "exclusive_served": counters.exclusive_served,
                 "pending": self._pending,
                 "statement_hits": counters.statement_hits,
                 "statement_misses": counters.statement_misses,
@@ -773,7 +663,7 @@ class QueryServer:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self, drain: bool = True) -> None:
-        """Stop admitting queries and shut the pools down.
+        """Stop admitting queries and shut the executor down.
 
         ``drain=True`` (default) waits for in-flight queries to finish;
         already-submitted futures complete either way.
@@ -782,8 +672,7 @@ class QueryServer:
             if self._closed:
                 return
             self._closed = True
-        self._reader_pool.shutdown(wait=drain)
-        self._exclusive_pool.shutdown(wait=drain)
+        self._executor.shutdown(wait=drain)
 
     def __enter__(self) -> "QueryServer":
         """Context-manager entry (the server is usable immediately)."""

@@ -155,11 +155,10 @@ class TestDeterminism:
 
 class TestFailurePath:
     def test_raising_task_leaves_no_trace(self):
-        from repro.serving.metrics import install_router
-
         platform, _ = _loaded(num_servers=4)
         ctx = platform.ctx
-        router = install_router(ctx)
+        mine = ctx.metrics
+        mine.reset()
 
         def charge(seconds):
             ctx.metrics.advance_time(seconds)
@@ -169,30 +168,29 @@ class TestFailurePath:
             charge(0.5)
             raise RuntimeError("server 1 fell over")
 
-        with router.scoped() as mine:
-            before = mine.snapshot()
-            failing = [
-                ScatterTask(0, lambda: charge(0.2)),
-                ScatterTask(1, boom),
-                ScatterTask(2, lambda: charge(0.1)),
-            ]
-            with pytest.raises(RuntimeError, match="server 1 fell over"):
-                scatter_gather(ctx, failing)
-            assert not in_scatter()
-            assert router.active is mine
-            # nothing absorbed, no round charged, no counter bumped
-            assert mine.snapshot() == before
+        before = mine.snapshot()
+        failing = [
+            ScatterTask(0, lambda: charge(0.2)),
+            ScatterTask(1, boom),
+            ScatterTask(2, lambda: charge(0.1)),
+        ]
+        with pytest.raises(RuntimeError, match="server 1 fell over"):
+            scatter_gather(ctx, failing)
+        assert not in_scatter()
+        assert ctx.metrics is mine
+        # nothing absorbed, no round charged, no counter bumped
+        assert mine.snapshot() == before
 
-            # the next round on this thread prices like a fresh one
-            tasks = [
-                ScatterTask(0, lambda: charge(0.2)),
-                ScatterTask(2, lambda: charge(0.1)),
-            ]
-            scatter_gather(ctx, tasks)
-            after_failure = mine.snapshot() - before
+        # the next round prices like one on a freshly reset collector
+        tasks = [
+            ScatterTask(0, lambda: charge(0.2)),
+            ScatterTask(2, lambda: charge(0.1)),
+        ]
+        scatter_gather(ctx, tasks)
+        after_failure = mine.snapshot() - before
 
-        with router.scoped() as fresh:
-            scatter_gather(ctx, tasks)
-        assert fresh.snapshot() == after_failure
-        assert fresh.kv_reads == 6
-        assert fresh.counters["fanout_rounds"] == 1
+        mine.reset()
+        scatter_gather(ctx, tasks)
+        assert mine.snapshot() == after_failure
+        assert mine.kv_reads == 6
+        assert mine.counters["fanout_rounds"] == 1

@@ -125,8 +125,8 @@ def test_equal_weights_share_one_table(fresh_setup):
 
 def test_worker_engines_sharing_one_catalog_each_replace_their_own(fresh_setup):
     platform = fresh_setup.platform
-    with QueryServer(platform, workers=2) as server:
-        # one engine per thread, as the reader pool builds them
+    with QueryServer(platform) as server:
+        # one engine per thread, as caller threads build them
         engines = []
         for _ in range(2):
             thread = threading.Thread(
@@ -171,7 +171,7 @@ def test_shared_plan_cache_drops_stale_plans_on_store(fresh_setup):
     """A stale entry of the shared plan cache keeps its plan, and through
     it the statistics it was priced against.  The next plan stored drops
     it, although its own key is never looked up again."""
-    with QueryServer(fresh_setup.platform, workers=1) as server:
+    with QueryServer(fresh_setup.platform) as server:
         engine = server.engine()
         engine.plan(q2(10))
         replaced = weakref.ref(server.statistics.stats_for(q2(10).right))

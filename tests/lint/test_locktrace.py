@@ -7,22 +7,12 @@ deterministically.  The integration test installs the tracer for real and
 runs a small concurrent serving workload, asserting the acquisition-order
 graph stays acyclic — the same check the autouse conftest fixture applies
 to every stress/chaos test.
-
-The fork tests pin the ``os.register_at_fork`` hook: a forked child
-inherits every module-global object but none of the parent's threads, so
-the patched ``threading`` factories and a possibly mid-update
-``_graph_lock`` must not survive into it — the hook restores the real
-factories and resets the tracer.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
-import pytest
-
-from repro.common import locktrace
 from repro.common.locktrace import LockTracer, TracedLock
 
 SITE_A = ("src/repro/fake/a.py", 10)
@@ -193,7 +183,7 @@ class TestServingIntegration:
             engine = RankJoinEngine(platform)
             engine.algorithm("isl").prepare(q1(1))
             engine.algorithm("isl").prepare(q2(1))
-            server = QueryServer(platform, workers=4, max_pending=64)
+            server = QueryServer(platform, max_pending=64)
             try:
                 futures = [
                     server.submit(
@@ -209,66 +199,3 @@ class TestServingIntegration:
             finally:
                 server.close()
         assert tracer.find_cycle() is None, tracer.explain(tracer.find_cycle())
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="fork-only platform audit")
-class TestRealFork:
-    def _assert_child_ok(self, child_main) -> None:
-        pid = os.fork()
-        if pid == 0:  # pragma: no cover - child process exits hard
-            code = 1
-            try:
-                if child_main():
-                    code = 0
-            except BaseException:
-                code = 1
-            finally:
-                os._exit(code)
-        _, status = os.waitpid(pid, 0)
-        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
-
-    def test_forked_child_uninstalls_lock_tracer(self):
-        tracer = LockTracer()
-        tracer.install()
-        try:
-
-            def child_main():
-                factories_restored = (
-                    threading.Lock is locktrace._REAL_LOCK
-                    and threading.RLock is locktrace._REAL_RLOCK
-                    and threading.Condition is locktrace._REAL_CONDITION
-                )
-                return factories_restored and not tracer._installed
-
-            self._assert_child_ok(child_main)
-            # the parent's tracer is still installed and functional
-            assert tracer._installed
-            assert threading.Lock is not locktrace._REAL_LOCK
-        finally:
-            tracer.uninstall()
-
-
-class TestAtForkHandlerUnit:
-    """The handler's effect, without paying for a real fork."""
-
-    def test_handler_restores_factories_and_resets_tracer(self):
-        tracer = LockTracer()
-        tracer.install()
-        lock = threading.Lock()  # traced: created inside the window? (site
-        # is this test file, so it passes through untraced — fine either way)
-        try:
-            locktrace._uninstall_in_forked_child()
-            assert threading.Lock is locktrace._REAL_LOCK
-            assert not tracer._installed
-            assert tracer.edges() == []
-            # reinstalling afterwards works from the clean state
-            tracer.install()
-            assert tracer._installed
-        finally:
-            tracer.uninstall()
-        assert lock is not None
-
-    def test_handler_is_a_noop_without_an_installed_tracer(self):
-        assert locktrace._INSTALLED is None
-        locktrace._uninstall_in_forked_child()
-        assert threading.Lock is locktrace._REAL_LOCK

@@ -26,7 +26,7 @@ QUERY = q2(5)
 @pytest.fixture()
 def served_rig():
     rig = make_rig(pipeline_kwargs={"batch_size": 2})
-    server = QueryServer(rig.platform, workers=2)
+    server = QueryServer(rig.platform)
     try:
         yield rig, server
     finally:

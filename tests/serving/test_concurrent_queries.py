@@ -10,9 +10,10 @@ simulated-cost snapshot — concurrency must not move a single Fig. 7/8
 number.
 
 MapReduce-running algorithms (Hive, IJLMR) consume shared simulator state
-(the round-robin HDFS placement cursor, the timestamp counter), so the
-server executes them FIFO in submission order on its exclusive thread —
-the mixed-workload test pins that this keeps them bit-identical too.
+(the round-robin HDFS placement cursor, the timestamp counter); the
+server runs every query FIFO in submission order on its one executor
+thread, and the mixed-workload test pins that this keeps them
+bit-identical too.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.maintenance.interceptor import MaintainedRelation
 from repro.platform import Platform
 from repro.query.engine import RankJoinEngine
 from repro.serving import QueryServer
+from repro.store.client import Scan
 from repro.tpch.generator import generate
 from repro.tpch.loader import load_tpch, part_binding
 from repro.tpch.queries import Q1_SQL, Q2_SQL, q1, q2
@@ -62,8 +64,8 @@ READONLY_WORKLOAD = [
     (THREE_WAY_SQL.format(k=10), "hrjn"),
 ]
 
-#: mixed items: MapReduce (exclusive FIFO) queries interleaved with
-#: read-only ones, submitted in order from one client
+#: mixed items: MapReduce queries interleaved with read-only ones,
+#: submitted in order from one client
 MIXED_WORKLOAD = [
     (Q1_SQL.format(k=5), "isl"),
     (Q1_SQL.format(k=5), "ijlmr"),
@@ -103,6 +105,12 @@ def _serialized(engine: RankJoinEngine, workload):
     return results
 
 
+def _metered_scan(platform: Platform) -> None:
+    """A metered full scan of ``part``: charges the platform's collector
+    and changes no store state."""
+    platform.store.table("part").scan_all(Scan(families={"d"}))
+
+
 def _assert_same(served, expected) -> None:
     assert served.error is None, served.error
     result = served.result
@@ -119,7 +127,7 @@ def serving_pair():
     """(QueryServer over platform A, plain engine over identical platform B)."""
     baseline = _build_loaded_engine()
     served_engine = _build_loaded_engine()
-    server = QueryServer(served_engine.platform, workers=4)
+    server = QueryServer(served_engine.platform)
     yield server, baseline
     server.close()
 
@@ -154,22 +162,63 @@ class TestConcurrentEqualsSerialized:
             _assert_same(served, expect)
         stats = server.stats()
         assert stats["failed"] == 0
-        assert stats["reader_served"] >= len(READONLY_WORKLOAD)
+        assert stats["completed"] >= len(READONLY_WORKLOAD)
 
     def test_mixed_mapreduce_workload_is_bit_identical(self, serving_pair):
-        """MapReduce queries run FIFO on the exclusive thread; interleaved
-        with concurrent read-only queries they still reproduce the
-        serialized run bit for bit."""
+        """MapReduce queries run FIFO on the serving thread; interleaved
+        with read-only queries they still reproduce the serialized run
+        bit for bit.  Between the halves a maintenance block charges the
+        shared collector, and the second IJLMR query follows Hive's far
+        larger reducer peak: a bill taken as a delta of the shared
+        collector would carry the one and lose the other."""
         server, baseline = serving_pair
-        expected = _serialized(baseline, MIXED_WORKLOAD)
-        futures = [
-            server.submit(sql, algorithm) for sql, algorithm in MIXED_WORKLOAD
+        first, second = MIXED_WORKLOAD[:4], MIXED_WORKLOAD[4:]
+        assert [algorithm for _, algorithm in first][-1] == "hive"
+        assert "ijlmr" in [algorithm for _, algorithm in second]
+        expected = _serialized(baseline, first)
+        _metered_scan(baseline.platform)
+        expected += _serialized(baseline, second)
+
+        served = [
+            future.result()
+            for future in [server.submit(sql, alg) for sql, alg in first]
         ]
-        for future, expect in zip(futures, expected):
-            _assert_same(future.result(), expect)
+        shared = server.platform.metrics
+        reads_before = shared.kv_reads
+        with server.maintenance() as platform:
+            _metered_scan(platform)
+        assert shared.kv_reads > reads_before  # the block charged the platform
+        served += [
+            future.result()
+            for future in [server.submit(sql, alg) for sql, alg in second]
+        ]
+        for one, expect in zip(served, expected):
+            _assert_same(one, expect)
         stats = server.stats()
-        assert stats["exclusive_served"] > 0
+        assert stats["completed"] >= len(MIXED_WORKLOAD)
         assert stats["failed"] == 0
+
+    def test_one_serving_thread(self, serving_pair):
+        """However many clients submit, the server runs its queries on
+        exactly one executor thread."""
+        server, _ = serving_pair
+        runners: "set[str]" = set()
+
+        def client() -> None:
+            for _ in range(3):
+                server.execute(Q1_SQL.format(k=1), "isl")
+                runners.update(
+                    thread.name
+                    for thread in threading.enumerate()
+                    if thread.name.startswith("serve")
+                )
+
+        threads = [threading.Thread(target=client) for _ in range(CLIENT_THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(runners) == 1, runners
 
     def test_plan_cache_serves_repeated_auto_shapes(self, serving_pair):
         server, _ = serving_pair
@@ -183,11 +232,11 @@ class TestConcurrentEqualsSerialized:
 class TestMaintenanceConcurrency:
     def test_queries_stay_correct_under_concurrent_mutations(self):
         """Read-only queries race insert_batch/delete_batch maintenance;
-        the write-preferring lock means every query sees a consistent
+        the server's mutex means every query sees a consistent
         snapshot, and low-scoring mutations never change the top-k."""
         baseline = _build_loaded_engine()
         served_engine = _build_loaded_engine()
-        server = QueryServer(served_engine.platform, workers=4)
+        server = QueryServer(served_engine.platform)
         try:
             expected = baseline.sql(Q1_SQL.format(k=5), algorithm="isl")
             maintained = MaintainedRelation(
@@ -245,13 +294,13 @@ class TestAdmissionControl:
     @pytest.fixture()
     def small_server(self):
         engine = _build_loaded_engine()
-        server = QueryServer(engine.platform, workers=1, max_pending=2)
+        server = QueryServer(engine.platform, max_pending=2)
         yield server
         server.close()
 
     def test_overload_sheds_with_pending_counts(self, small_server):
         server = small_server
-        with server.maintenance():  # stall the pools behind the write lock
+        with server.maintenance():  # stall the executor behind the mutex
             first = server.submit(Q1_SQL.format(k=5), "isl")
             second = server.submit(Q2_SQL.format(k=5), "isl")
             with pytest.raises(ServerOverloadedError) as excinfo:
@@ -268,7 +317,7 @@ class TestAdmissionControl:
             future = server.submit(
                 Q1_SQL.format(k=5), "isl", deadline_s=0.02
             )
-            threading.Event().wait(0.08)  # hold the write lock past it
+            threading.Event().wait(0.08)  # hold the mutex past it
         served = future.result()
         assert isinstance(served.error, DeadlineExceededError)
         assert served.waited_s > 0.02
@@ -286,7 +335,7 @@ class TestAdmissionControl:
 
     def test_closed_server_rejects_submissions(self):
         engine = _build_loaded_engine()
-        server = QueryServer(engine.platform, workers=1)
+        server = QueryServer(engine.platform)
         server.close()
         with pytest.raises(ServerClosedError):
             server.submit(Q1_SQL.format(k=1), "isl")

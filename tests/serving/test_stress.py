@@ -4,7 +4,7 @@ Run with ``python -m pytest -m stress tests/serving/test_stress.py``.
 These are the heavier cousins of ``test_thread_safety.py`` /
 ``test_concurrent_queries.py``: more threads, more iterations, longer
 churn windows.  They exist to shake out rare interleavings in CI's
-non-blocking stress job, so they assert only invariants (no exceptions,
+stress job, so they assert only invariants (no exceptions,
 conservation of cells, bounded caches, bit-identical top-k) — not
 timing.
 """
@@ -119,7 +119,7 @@ class TestServerStress:
     def test_many_clients_with_maintenance_churn(self):
         baseline = _loaded_engine()
         engine = _loaded_engine()
-        server = QueryServer(engine.platform, workers=4, max_pending=256)
+        server = QueryServer(engine.platform, max_pending=256)
         try:
             workload = [
                 (Q1_SQL.format(k=5), "isl"),

@@ -42,11 +42,8 @@ METERED_PREFIXES = (
 )
 
 #: modules allowed to touch MetricsCollector fields directly: the
-#: collector itself and the thread-local router that impersonates it.
-METRIC_API_MODULES = (
-    "src/repro/cluster/metrics.py",
-    "src/repro/serving/metrics.py",
-)
+#: collector itself.
+METRIC_API_MODULES = ("src/repro/cluster/metrics.py",)
 
 #: the trees (repo-relative) whose code can reference a src/repro
 #: definition (RL501); README's python blocks are added to them.  Tests
